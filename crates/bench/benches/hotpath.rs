@@ -48,24 +48,12 @@ fn main() {
         );
         println!("  serial     {:>12.0} refs/sec", lane.serial_refs_per_sec);
         println!("  sharded    {:>12.0} refs/sec", lane.sharded_refs_per_sec);
+        println!("  pool       {:>12} worker(s)", lane.pool_workers);
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let sharded_target = 1.5;
-        if lane.speedup() >= sharded_target {
-            println!(
-                "sharded acceptance: PASS ({:.2}x >= {sharded_target}x serial)",
-                lane.speedup()
-            );
-        } else if cores < 4 {
-            println!(
-                "sharded acceptance: SKIPPED ({cores} cores < 4; inline fallback measured {:.2}x)",
-                lane.speedup()
-            );
-        } else {
-            println!(
-                "sharded acceptance: BELOW TARGET ({:.2}x < {sharded_target}x) — check host load",
-                lane.speedup()
-            );
-        }
+        println!(
+            "{}",
+            hotpath::sharded_verdict(lane.speedup(), cores, lane.pool_workers)
+        );
     }
 
     report.emit();

@@ -4,15 +4,14 @@
 //! ways — through the shared `TraceStore` driver, with per-cell
 //! capture, and as plain execution-driven runs — plus the batched
 //! replay engine in isolation (batched vs. per-op live dispatch of the
-//! same cells, and the pooled-batched sharded executor under both the
-//! pipelined and the shared-log engine), and records everything in
-//! `results/BENCH_sweep.json`.
+//! same cells, and the pooled-batched sharded executor), and records
+//! everything in `results/BENCH_sweep.json`.
 //!
 //! With `RNUMA_SWEEP_GATE` set (CI does), the run **fails** when the
 //! batched-vs-per-op replay speedup falls more than 10% below the
 //! committed baseline (`crates/bench/baselines/BENCH_sweep.json`), or
-//! when either pooled lane — pipelined or `RNUMA_EXEC=log` — falls
-//! below 1.0x of the serial batched engine on a host with ≥ 4 cores
+//! when the pooled lane falls below 1.0x of the serial batched engine
+//! on a host with ≥ 4 cores
 //! (smaller hosts skip that gate loudly — SKIPPED in the log, never
 //! silently green).
 //!
@@ -82,12 +81,6 @@ fn main() {
         lane.pooled_shards,
         lane.pooled_speedup_vs_batched()
     );
-    println!(
-        "  log-batched        {:>8.1} ms/pass ({} shards, {:.2}x vs serial batched)",
-        lane.log_replay_secs * 1e3,
-        lane.pooled_shards,
-        lane.log_speedup_vs_batched()
-    );
 
     let target = 1.3;
     if lane.speedup_vs_percell_capture() >= target {
@@ -123,9 +116,9 @@ fn main() {
         }
     }
 
-    // The pooled-executor gate: neither pooled lane (pipelined or
-    // shared-log) may be slower than the serial batched engine where
-    // the hardware can actually run the pool (≥ 4 cores).
+    // The pooled-executor gate: the pooled lane may not be slower than
+    // the serial batched engine where the hardware can actually run the
+    // pool (≥ 4 cores).
     // Under-provisioned hosts get a loud SKIPPED line instead of a
     // vacuous PASS.
     match sweep::pooled_gate(&lane) {

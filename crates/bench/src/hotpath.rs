@@ -19,7 +19,7 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::machine::Machine;
-use rnuma::shard::{ShardedMachine, TraceOp};
+use rnuma::shard::{ShardPool, ShardedMachine, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::DetRng;
@@ -209,6 +209,10 @@ pub struct ShardedLane {
     pub serial_refs_per_sec: f64,
     /// Pooled-batched `ShardedMachine` replay throughput.
     pub sharded_refs_per_sec: f64,
+    /// Worker threads of the pool the sharded replay ran on
+    /// ([`ShardPool::shared`]); 0 means every window ran inline on the
+    /// coordinator.
+    pub pool_workers: usize,
 }
 
 impl ShardedLane {
@@ -216,6 +220,35 @@ impl ShardedLane {
     #[must_use]
     pub fn speedup(&self) -> f64 {
         self.sharded_refs_per_sec / self.serial_refs_per_sec
+    }
+}
+
+/// Speedup the sharded lane must reach over serial replay to pass.
+const SHARDED_TARGET: f64 = 1.5;
+
+/// Hardware threads the sharded acceptance needs before a miss counts
+/// as BELOW TARGET rather than SKIPPED.
+const SHARDED_MIN_CORES: usize = 4;
+
+/// The sharded lane's acceptance line for a measured `speedup` on a
+/// host with `cores` hardware threads whose pool ran `workers` worker
+/// threads. Only a worker-less pool measured the inline fallback; any
+/// other miss on a small host measured real thread handoff.
+#[must_use]
+pub fn sharded_verdict(speedup: f64, cores: usize, workers: usize) -> String {
+    let measured = if workers == 0 {
+        format!("inline fallback measured {speedup:.2}x")
+    } else {
+        format!("{workers} pool worker(s) measured {speedup:.2}x")
+    };
+    if speedup >= SHARDED_TARGET {
+        format!("sharded acceptance: PASS ({speedup:.2}x >= {SHARDED_TARGET}x serial)")
+    } else if cores < SHARDED_MIN_CORES {
+        format!("sharded acceptance: SKIPPED ({cores} cores < {SHARDED_MIN_CORES}; {measured})")
+    } else {
+        format!(
+            "sharded acceptance: BELOW TARGET ({measured} < {SHARDED_TARGET}x) — check host load"
+        )
     }
 }
 
@@ -244,7 +277,7 @@ fn time_replays(refs: usize, mut replay: impl FnMut()) -> f64 {
 /// verifying bit-identical metrics while timing both. On a single-core
 /// host the shared pool has no workers, so the lane measures the
 /// executor's inline fallback (~1.0x serial) rather than
-/// thread-handoff cost.
+/// thread-handoff cost; [`ShardedLane::pool_workers`] records which.
 ///
 /// # Panics
 ///
@@ -281,6 +314,7 @@ pub fn sharded_lane(protocol: Protocol, trace_refs: usize) -> ShardedLane {
         trace_refs: refs,
         serial_refs_per_sec: serial_rps,
         sharded_refs_per_sec: sharded_rps,
+        pool_workers: ShardPool::shared().workers(),
     }
 }
 
@@ -365,6 +399,7 @@ impl HotpathReport {
                     "    \"sharded_refs_per_sec\": {:.0},",
                     lane.sharded_refs_per_sec
                 );
+                let _ = writeln!(s, "    \"pool_workers\": {},", lane.pool_workers);
                 let _ = writeln!(s, "    \"speedup\": {:.2}", lane.speedup());
                 let _ = writeln!(s, "  }}");
             }
@@ -465,11 +500,35 @@ mod tests {
             trace_refs: 1000,
             serial_refs_per_sec: 1e6,
             sharded_refs_per_sec: 2.5e6,
+            pool_workers: 2,
         });
         let json = with_lane.to_json();
         assert!(json.ends_with('}'));
         assert!(json.contains("\"shards\": 4"));
+        assert!(json.contains("\"pool_workers\": 2"));
         assert!(json.contains("\"speedup\": 2.50"));
+    }
+
+    #[test]
+    fn verdict_says_inline_fallback_only_without_workers() {
+        let v = sharded_verdict(0.98, 1, 0);
+        assert!(v.contains("SKIPPED (1 cores < 4"), "{v}");
+        assert!(v.contains("inline fallback measured 0.98x"), "{v}");
+    }
+
+    #[test]
+    fn verdict_names_real_workers_on_a_two_core_host() {
+        let v = sharded_verdict(0.58, 2, 2);
+        assert!(v.contains("SKIPPED (2 cores < 4"), "{v}");
+        assert!(v.contains("2 pool worker(s) measured 0.58x"), "{v}");
+        assert!(!v.contains("inline fallback"), "{v}");
+    }
+
+    #[test]
+    fn verdict_target_and_core_arming_are_unchanged() {
+        assert!(sharded_verdict(1.5, 2, 2).contains("PASS"));
+        assert!(sharded_verdict(1.49, 4, 4).contains("BELOW TARGET"));
+        assert!(sharded_verdict(1.49, 3, 3).contains("SKIPPED"));
     }
 
     #[test]

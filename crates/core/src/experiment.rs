@@ -41,7 +41,7 @@ use crate::journal::{cell_key, Journal};
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Workload};
-use crate::shard::{shards_from_env, CpuRun, ExecEngine, ShardPool, ShardedMachine, TraceOp};
+use crate::shard::{shards_from_env, CpuRun, ShardPool, ShardedMachine, TraceOp};
 use crate::trace::{
     decode_segment, encode_segment, spill_dir_from_env, CpuRefs, ProfileArena, SegMeta, SEG_OPS,
 };
@@ -302,7 +302,7 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 ///
 /// This is the blessed escape hatch companion to [`env_usize`] for
 /// knobs whose values are names, paths, or switch words
-/// (`RNUMA_EXEC`, `RNUMA_TRACE_SPILL`, `RNUMA_JOURNAL`, …). Call sites
+/// (`RNUMA_TRACE_SPILL`, `RNUMA_JOURNAL`, …). Call sites
 /// still own their documented warn-once misconfiguration semantics —
 /// what this helper centralizes is the *access point*: `rnuma-lint`'s
 /// D03 lint rejects raw `std::env::var("RNUMA_…")` reads anywhere
@@ -973,13 +973,9 @@ fn seg_hash(ops: &[TraceOp]) -> u64 {
 
 /// Asserts that a pool-backed sharded replay on `config` is
 /// bit-identical to `report` (the serial execution of the same
-/// stream) — through **all three** window engines: the shared-log
-/// executor (per-shard span consumption), the pipelined executor
-/// (scan overlapped with pool execution), and the plain barrier
-/// engine both are differentially pinned against. `feed` drives the
-/// stream into each sharded machine — a flat `run_trace` or a
-/// segment-by-segment decoded replay; the executor folds its metrics
-/// after every feed, so the two are equivalent.
+/// stream). `feed` drives the stream into the sharded machine — a flat
+/// `run_trace` or a segment-by-segment decoded replay; the executor
+/// folds its metrics after every feed, so the two are equivalent.
 ///
 /// Runs on [`ShardPool::checking`], which always has workers — a
 /// zero-worker pool would make the executor bypass itself and turn the
@@ -990,21 +986,18 @@ fn check_sharded_replay(
     shards: usize,
     feed: impl Fn(&mut ShardedMachine),
 ) {
-    for engine in [ExecEngine::Log, ExecEngine::Pipeline, ExecEngine::Barrier] {
-        let mut sharded = ShardedMachine::with_pool(config, shards, ShardPool::checking())
-            .expect("config validated by caller");
-        sharded.set_engine(engine);
-        feed(&mut sharded);
-        assert!(
-            report.metrics.replay_eq(&sharded.metrics()),
-            "{engine} sharded replay ({shards} shards) diverged from serial for {} on {}:\n\
-             serial:  {}\nsharded: {}",
-            report.workload,
-            report.protocol,
-            report.metrics,
-            sharded.metrics()
-        );
-    }
+    let mut sharded = ShardedMachine::with_pool(config, shards, ShardPool::checking())
+        .expect("config validated by caller");
+    feed(&mut sharded);
+    assert!(
+        report.metrics.replay_eq(&sharded.metrics()),
+        "sharded replay ({shards} shards) diverged from serial for {} on {}:\n\
+         serial:  {}\nsharded: {}",
+        report.workload,
+        report.protocol,
+        report.metrics,
+        sharded.metrics()
+    );
 }
 
 /// Replays one sweep cell: the captured stream `id` against `config`,

@@ -615,14 +615,7 @@ impl ShardChunk {
 /// The serial walk owns the [`PageManager`] and fixes homes on first
 /// touch; a shard lane runs against a frozen view whose homes were
 /// pre-resolved — in trace order — by the coordinator before the window
-/// started, so concurrent lanes never race on the home table. The
-/// pipelined executor preserves this contract under overlap: while
-/// workers hold frozen views of window N's table, the coordinator
-/// scans window N+1 into a separate overlay (the base never moves or
-/// grows under a live lane) and merges it only after every worker has
-/// dropped its view at the epoch barrier. The [`PageManager`] itself
-/// stays on the machine across [`Machine::detach_shards`], which is
-/// what lets the coordinator keep resolving homes mid-window.
+/// started, so concurrent lanes never race on the home table.
 enum Homes<'a> {
     /// Exclusive ownership: faults fix homes on touch (serial path).
     Live(&'a mut PageManager),

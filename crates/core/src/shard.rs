@@ -18,12 +18,12 @@
 //!    along node boundaries.
 //! 3. **Epochs (contained windows).** The executor scans the trace
 //!    forward, classifying each op against the monotone per-page *shard
-//!    footprint* (which shards have ever referenced the page, which
-//!    shards have ever stored to it, and the epoch of its last
-//!    ownership transition) and the page's home. An access is
-//!    **contained** when its page's home lies in the issuer's shard
-//!    and either its footprint is exactly the issuer's shard, or it is
-//!    a load of a page every writer of which is the issuer's own shard
+//!    footprint* (which shards have ever referenced the page, and
+//!    which shards have ever stored to it) and the page's home. An
+//!    access is **contained** when its page's home lies in the
+//!    issuer's shard and either its footprint is exactly the issuer's
+//!    shard, or it is a load of a page every writer of which is the
+//!    issuer's own shard
 //!    (the ownership relaxation — such a page has no dirty copy, and
 //!    no owner, outside the issuing shard, and loads never touch
 //!    foreign sharers): the entire walk — coherence actions included —
@@ -31,9 +31,7 @@
 //!    different shards commute and each shard may execute its
 //!    subsequence, in order, on its own thread. The maximal contained
 //!    prefix forms one epoch; the first non-contained op ends it and
-//!    executes serially between epochs. The footprint/home directory
-//!    itself is banked finer than per-node (`RNUMA_DIR_SHARDS`,
-//!    [`dir_shard_of`]) — pure layout, never visible in results.
+//!    executes serially between epochs.
 //! 4. **Ordered cross-shard effects.** The one way a contained walk can
 //!    reach another shard is the posted write-back of an eviction victim
 //!    homed elsewhere. Its network cost is sender-side by construction
@@ -44,33 +42,11 @@
 //!    contained op can observe that directory state before the barrier
 //!    (any op that could is, by the footprint rule, not contained), so
 //!    deferral is exact.
-//! 5. **Engines.** Three schedulers share that window model, selected
-//!    by `RNUMA_EXEC` ([`ExecEngine`]):
-//!    * **`log`** (the default) — the *shared-log* engine: one pass
-//!      per segment classifies every op up front, folds `ArmFirstTouch`
-//!      into the scan (arming is applied in trace order as the scan
-//!      walks, so an arm *merges* the windows on either side of it
-//!      instead of fencing them — the retired global barriers), and
-//!      appends one fence-delimited window descriptor (`SpanDesc`) per
-//!      span to an append-only log. Shards then consume the log at
-//!      their own pace behind per-shard cursors; a true fence (a
-//!      cross-shard access or a barrier) is the only point where the
-//!      whole machine reassembles, and a lost worker rolls back only
-//!      its own cursor ([`ShardedMachine::cursor_rollbacks`]) — never
-//!      the other shards' completed spans.
-//!    * **`pipeline`** — while pool workers execute window N, the
-//!      coordinator scans window N+1 into a private overlay of the
-//!      footprint directory (the base is frozen under the workers'
-//!      `Arc` views), merging it bank-by-bank at the barrier. A fault
-//!      recovery at the barrier discards the in-flight overlay
-//!      ([`ShardStats::scans_invalidated`]) and re-scans exactly.
-//!    * **`barrier`** — scan, execute, barrier, strictly in sequence.
-//!
-//!    All three are bit-identical by contract — the pipelined and
-//!    barrier engines remain as differential references
-//!    (`tests/pipelined_determinism.rs` pins log ≡ pipelined ≡
-//!    barrier ≡ serial); `RNUMA_PIPELINE` is the legacy two-way
-//!    selector and keeps working.
+//! 5. **One engine.** Windows run strictly in sequence: scan the
+//!    maximal contained window, execute it (inline below the fan-out
+//!    threshold, on the pool above it), close it at the epoch barrier,
+//!    execute the blocking op serially, repeat. `docs/DETERMINISM.md`
+//!    records why the executor has no second engine.
 //!
 //! # The worker pool
 //!
@@ -100,7 +76,6 @@ use crate::machine::{Machine, ShardChunk};
 use crate::metrics::Metrics;
 use rnuma_mem::addr::{CpuId, NodeId, VPage, Va};
 use rnuma_mem::fxmap::FxMap;
-use rnuma_mem::paged::{dir_shard_of, EpochTags};
 use rnuma_proto::effect::EffectMsg;
 use rnuma_sim::fault::{FaultKind, FaultLog, FaultPlan};
 use rnuma_sim::{Cycles, EpochClock};
@@ -340,33 +315,10 @@ pub struct ShardStats {
     /// Late replies from already-recovered (timed-out) jobs, discarded
     /// by job id at a later barrier.
     pub stale_replies: u64,
-    /// Scans of window N+1 overlapped with the pool's execution of
-    /// window N (the pipelined executor's whole point): the next
-    /// window's footprint/home classification was already done — into
-    /// the coordinator's overlay — when the barrier closed.
-    pub scans_prefetched: u64,
-    /// Prefetched scans discarded because a fault forced inline
-    /// re-execution at the same barrier: recovery deliberately
-    /// re-establishes the no-speculative-state invariant, so the
-    /// overlay is dropped wholesale and the window is re-scanned (the
-    /// re-scan is deterministic, so results are unaffected — this
-    /// counter is the only trace the discard leaves).
-    pub scans_invalidated: u64,
-    /// Log-engine window descriptors consumed from the shared span log
-    /// (one ownership epoch each).
-    pub log_spans: u64,
-    /// Blocking ops that actually fenced a log span (cross-shard
-    /// accesses and barriers; folded arms never fence).
-    pub log_fences: u64,
-    /// `ArmFirstTouch` ops the log scan applied in place, in trace
-    /// order, instead of fencing a window — the retired global
-    /// barriers. Windows on either side of a folded arm merge.
-    pub arms_folded: u64,
 }
 
 /// Footprint record of one page: which shards ever referenced it, which
-/// shards ever stored to it, its (immutable once fixed) home, and the
-/// ownership epoch of its last writer-set transition.
+/// shards ever stored to it, and its (immutable once fixed) home.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PageInfo {
     shard_mask: u32,
@@ -378,137 +330,38 @@ pub(crate) struct PageInfo {
     /// containment relaxation in [`classify`].
     writer_mask: u32,
     home: NodeId,
-    /// Epoch (global window/span counter) of the page's last ownership
-    /// transition — the most recent scan point where a new shard joined
-    /// `writer_mask` (or the page was first referenced). A shard may
-    /// run ahead on pages whose transitions it owns; an access that
-    /// would move ownership across shards is exactly a blocking op, so
-    /// this stamp is the per-page fence the log engine waits at, and
-    /// the `epoch` component of every deferred effect key
-    /// ([`EffectKey`]) for pages written in that span.
-    owner_epoch: u64,
+}
+
+impl PageInfo {
+    /// Folds one scanned reference by shard-bit `bit` into the entry:
+    /// the shard joins the footprint, and a store joins the writer set.
+    fn touch(&mut self, bit: u32, write: bool) {
+        self.shard_mask |= bit;
+        if write {
+            self.writer_mask |= bit;
+        }
+    }
 }
 
 /// The monotone per-page footprint/home directory the window scan
-/// maintains, banked into `RNUMA_DIR_SHARDS` sub-shards by
-/// [`dir_shard_of`] — finer-grained than the per-node execution shards,
-/// so scan lookups, prefetch overlays, and overlay merges each work
-/// against small independent tables instead of one monolith.
-///
-/// Banking is layout only: which bank a page lives in never influences
-/// classification or simulation results (the pipelined determinism
-/// suite pins bit-identity across sub-shard counts).
+/// maintains.
 ///
 /// During a parallel window every worker holds a shared (`Arc`) view:
 /// homes are pre-resolved in trace order by the coordinator before the
 /// window starts, so lanes never race on the home table. Between
-/// windows the coordinator is the sole owner and updates it in place;
-/// during a window the coordinator's prefetch scan writes to a
-/// separate overlay `Footprints` merged bank-by-bank at the barrier.
-#[derive(Clone, Debug)]
-pub(crate) struct Footprints {
-    banks: Vec<FxMap<VPage, PageInfo>>,
-    /// Per-bank ownership-epoch high-water marks: the coarse summary
-    /// of every `PageInfo::owner_epoch` stamp folded into each bank
-    /// (diagnostics and invariant checks; never classification).
-    tags: EpochTags,
-}
-
-impl Default for Footprints {
-    fn default() -> Footprints {
-        Footprints::with_banks(1)
-    }
-}
+/// windows the coordinator is the sole owner and updates it in place.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Footprints(FxMap<VPage, PageInfo>);
 
 impl Footprints {
-    fn with_banks(banks: usize) -> Footprints {
-        Footprints {
-            banks: (0..banks.max(1)).map(|_| FxMap::new()).collect(),
-            tags: EpochTags::new(banks),
-        }
-    }
-
-    fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    #[inline]
-    fn bank_of(&self, page: VPage) -> usize {
-        dir_shard_of(page, self.banks.len())
-    }
-
-    #[inline]
-    fn get(&self, page: VPage) -> Option<&PageInfo> {
-        self.banks[self.bank_of(page)].get(page)
-    }
-
-    #[inline]
-    fn get_mut(&mut self, page: VPage) -> Option<&mut PageInfo> {
-        let bank = self.bank_of(page);
-        self.banks[bank].get_mut(page)
-    }
-
-    #[inline]
-    fn insert(&mut self, page: VPage, info: PageInfo) {
-        let bank = self.bank_of(page);
-        self.banks[bank].insert(page, info);
-    }
-
     /// The pre-resolved home of `page`, if it was ever referenced.
     pub(crate) fn home_of(&self, page: VPage) -> Option<NodeId> {
-        self.get(page).map(|info| info.home)
-    }
-
-    /// Folds an ownership stamp into the page's bank tag (see
-    /// [`EpochTags`]).
-    #[inline]
-    fn tag(&mut self, page: VPage, epoch: u64) {
-        self.tags.record(page, epoch);
-    }
-
-    /// The high-water ownership epoch across all banks.
-    pub(crate) fn epoch_high_water(&self) -> u64 {
-        self.tags.high_water()
-    }
-
-    /// Discards every entry (bank structure is kept).
-    fn clear(&mut self) {
-        for bank in &mut self.banks {
-            bank.clear();
-        }
-        self.tags.clear();
-    }
-
-    /// Moves every entry of `overlay` into `self`, bank by bank. An
-    /// overlay entry is authoritative: it was copied from the base (or
-    /// freshly resolved) and then updated, so it replaces the base's.
-    /// Bank tags merge by per-bank max, so the base's high-water marks
-    /// cover the overlay's stamps after the merge.
-    fn merge_from(&mut self, overlay: &mut Footprints) {
-        debug_assert_eq!(self.banks.len(), overlay.banks.len());
-        self.tags.merge_from(&overlay.tags);
-        overlay.tags.clear();
-        for (dst, src) in self.banks.iter_mut().zip(&mut overlay.banks) {
-            if src.is_empty() {
-                continue;
-            }
-            for (page, info) in src.iter() {
-                dst.insert(page, *info);
-            }
-            src.clear();
-        }
+        self.0.get(page).map(|info| info.home)
     }
 }
 
 /// Upper bound on shards (the footprint mask is a `u32`).
 pub const MAX_SHARDS: usize = 32;
-
-/// Upper bound on footprint-directory sub-shards (`RNUMA_DIR_SHARDS`).
-pub const MAX_DIR_SHARDS: usize = 256;
-
-/// Default footprint-directory sub-shard count when `RNUMA_DIR_SHARDS`
-/// is unset.
-pub const DEFAULT_DIR_SHARDS: usize = 8;
 
 /// Contained windows shorter than this run inline on the coordinator —
 /// pool handoff only pays off once a window amortizes the barrier cost.
@@ -522,63 +375,6 @@ enum Class {
     /// Needs the whole machine (cross-shard access or global op): ends
     /// the window and runs serially.
     Blocking,
-}
-
-/// The window scheduler a [`ShardedMachine`] executes with
-/// (`RNUMA_EXEC=log|pipeline|barrier`; [`set_engine`]).
-///
-/// All three produce bit-identical results for any trace — they differ
-/// only in how windows are formed and overlapped, i.e. in scheduling
-/// statistics and wall-clock. The pipelined and barrier engines are
-/// kept as differential references for the log engine.
-///
-/// [`set_engine`]: ShardedMachine::set_engine
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecEngine {
-    /// Shared-log consumption (the default): one up-front scan per
-    /// segment appends fence-delimited window descriptors to an
-    /// append-only span log, folding first-touch arming into the scan
-    /// so arms never fence; shards consume the log behind per-shard
-    /// cursors and fault recovery rolls back only the faulted shard's
-    /// cursor.
-    Log,
-    /// Lockstep windows with the scan of window N+1 overlapped with
-    /// the pool's execution of window N (`RNUMA_PIPELINE=1` legacy).
-    Pipeline,
-    /// Lockstep windows, strictly scan → execute → barrier
-    /// (`RNUMA_PIPELINE=0` legacy).
-    Barrier,
-}
-
-impl std::fmt::Display for ExecEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExecEngine::Log => "log",
-            ExecEngine::Pipeline => "pipeline",
-            ExecEngine::Barrier => "barrier",
-        })
-    }
-}
-
-/// One entry of the log engine's shared span log: a fence-delimited
-/// window descriptor — the contained op range, the index of the
-/// blocking op that fenced it (if any), and, for spans past the
-/// parallel threshold, the pre-bucketed per-shard run tables every
-/// shard's consumption dispatches from.
-#[derive(Debug)]
-struct SpanDesc {
-    /// Trace positions of the span's contained ops (folded arms
-    /// included — re-arming is an idempotent no-op on replay).
-    range: Range<usize>,
-    /// Trace position of the blocking op closing the span; `None` for
-    /// the segment's final span.
-    fence: Option<usize>,
-    /// Per-CPU ops in `range` (what the buckets hold; folded arms and
-    /// the fence excluded).
-    per_cpu_ops: usize,
-    /// One bucket per shard when the span fans out; empty for
-    /// below-threshold spans, which replay batched on the coordinator.
-    buckets: Vec<Bucket>,
 }
 
 /// A typed worker-pool failure, as observed by the coordinator.
@@ -1015,16 +811,6 @@ pub struct ShardedMachine {
     /// Monotone per-page footprint + resolved home, maintained by the
     /// window scan; shared read-only with workers during windows.
     footprints: Arc<Footprints>,
-    /// Double buffer of the window scan: while workers execute window
-    /// N (holding `Arc` views of `footprints`), the coordinator scans
-    /// window N+1 into this coordinator-private overlay, merged into
-    /// the base bank-by-bank at the barrier — or discarded (and
-    /// counted) when a fault forces inline re-execution.
-    scan_overlay: Footprints,
-    /// Which window scheduler consumes the trace (`RNUMA_EXEC`, with
-    /// `RNUMA_PIPELINE` as the legacy two-way selector; default
-    /// [`ExecEngine::Log`]). Results are engine-agnostic by contract.
-    engine: ExecEngine,
     epochs: EpochClock,
     parallel_threshold: usize,
     pool: Arc<ShardPool>,
@@ -1047,16 +833,6 @@ pub struct ShardedMachine {
     fault_log: FaultLog,
     /// Monotone job-id source for stale-reply discrimination.
     next_job_id: u64,
-    /// Log engine: each shard's consumption cursor into the shared
-    /// span log — the number of window descriptors that shard has
-    /// consumed (inline spans count for every shard; a shard with an
-    /// empty bucket consumes the descriptor by skipping it).
-    span_cursors: Vec<u64>,
-    /// Log engine: how often each shard's cursor was rolled back to
-    /// its pre-dispatch snapshot by fault recovery. Recovery is
-    /// per-cursor — a lost worker re-executes only its own span job;
-    /// the other shards' completed spans stand.
-    cursor_rollbacks: Vec<u64>,
 }
 
 /// A dispatched-but-unresolved window job the barrier is waiting on:
@@ -1108,13 +884,10 @@ impl ShardedMachine {
             }
         }
         let (reply_tx, reply_rx) = mpsc::channel();
-        let dir_banks = dir_shards_from_env().unwrap_or(DEFAULT_DIR_SHARDS);
         Ok(ShardedMachine {
             machine,
             shard_of_node,
-            footprints: Arc::new(Footprints::with_banks(dir_banks)),
-            scan_overlay: Footprints::with_banks(dir_banks),
-            engine: engine_from_env(),
+            footprints: Arc::default(),
             epochs: EpochClock::new(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             pool,
@@ -1128,8 +901,6 @@ impl ShardedMachine {
             deadline_ms: window_deadline_from_env(),
             fault_log: FaultLog::new(),
             next_job_id: 0,
-            span_cursors: vec![0; shards],
-            cursor_rollbacks: vec![0; shards],
             ranges,
         })
     }
@@ -1183,84 +954,6 @@ impl ShardedMachine {
     /// and tests; the default suits production runs).
     pub fn set_parallel_threshold(&mut self, ops: usize) {
         self.parallel_threshold = ops.max(1);
-    }
-
-    /// Selects the window scheduler, replacing whatever `RNUMA_EXEC`
-    /// (or the legacy `RNUMA_PIPELINE`) configured. Results are
-    /// bit-identical under every engine; only scheduling statistics
-    /// and wall-clock differ.
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
-    }
-
-    /// The selected window scheduler.
-    #[must_use]
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
-    }
-
-    /// Legacy two-way selector: `true` is the pipelined engine, `false`
-    /// the plain barrier engine (scan, execute, barrier, strictly in
-    /// sequence) — the differential references the log engine is
-    /// tested against. Results are bit-identical either way.
-    pub fn set_pipelined(&mut self, on: bool) {
-        self.engine = if on {
-            ExecEngine::Pipeline
-        } else {
-            ExecEngine::Barrier
-        };
-    }
-
-    /// Whether pipelined window execution is selected.
-    #[must_use]
-    pub fn pipelined(&self) -> bool {
-        self.engine == ExecEngine::Pipeline
-    }
-
-    /// Log engine: each shard's consumption cursor into the shared span
-    /// log (descriptors consumed so far; other engines leave these 0).
-    #[must_use]
-    pub fn span_cursors(&self) -> &[u64] {
-        &self.span_cursors
-    }
-
-    /// How often each shard's consumption was rolled back to its
-    /// pre-dispatch snapshot by fault recovery. Recovery is per-shard:
-    /// a lost worker re-executes only its own job, so exactly the
-    /// faulted shard's counter moves.
-    #[must_use]
-    pub fn cursor_rollbacks(&self) -> &[u64] {
-        &self.cursor_rollbacks
-    }
-
-    /// Re-banks the footprint/home directory into `banks` sub-shards
-    /// (clamped to `1..=`[`MAX_DIR_SHARDS`]), replacing whatever
-    /// `RNUMA_DIR_SHARDS` configured, and resets the scan state. Call
-    /// before feeding any trace: banking is pure layout, so results
-    /// never depend on it, but the footprint accumulated so far is
-    /// discarded.
-    pub fn set_dir_shards(&mut self, banks: usize) {
-        let banks = banks.clamp(1, MAX_DIR_SHARDS);
-        self.footprints = Arc::new(Footprints::with_banks(banks));
-        self.scan_overlay = Footprints::with_banks(banks);
-    }
-
-    /// Sub-shard (bank) count of the footprint/home directory.
-    #[must_use]
-    pub fn dir_shards(&self) -> usize {
-        self.footprints.bank_count()
-    }
-
-    /// High-water ownership epoch across the footprint directory's
-    /// bank tags: the newest `PageInfo::owner_epoch` stamp any scan has
-    /// folded in (see [`EpochTags`]). Never exceeds the epoch counter —
-    /// stamps come only from scans at (or, for a prefetched scan, one
-    /// past) the current epoch — which the engines `debug_assert`.
-    #[must_use]
-    pub fn dir_epoch_high_water(&self) -> u64 {
-        self.footprints
-            .epoch_high_water()
-            .max(self.scan_overlay.epoch_high_water())
     }
 
     /// The underlying machine (read-only; diagnostics).
@@ -1317,6 +1010,7 @@ impl ShardedMachine {
         self.fold_shard_metrics();
     }
 
+    /// Scans a window, executes it, fences at the blocking op, repeats.
     fn run_ops(&mut self, ops: &[TraceOp]) {
         // With one shard or a worker-less pool no window can ever fan
         // out, so the window scan would be pure overhead: replay
@@ -1328,64 +1022,11 @@ impl ShardedMachine {
             self.machine.apply_batch(ops);
             return;
         }
-        match self.engine {
-            ExecEngine::Log => self.run_ops_log(ops),
-            ExecEngine::Pipeline | ExecEngine::Barrier => self.run_ops_windowed(ops),
-        }
-    }
-
-    /// Log engine: builds the segment's shared span log in one up-front
-    /// pass, then lets the shards consume it descriptor by descriptor.
-    /// The scan is entirely off the execution path — footprints freeze
-    /// once per segment, there is no overlay and nothing to invalidate
-    /// — and only a descriptor's fence (a cross-shard access or a
-    /// barrier; never a folded arm) reassembles the whole machine.
-    fn run_ops_log(&mut self, ops: &[TraceOp]) {
-        let cpus_per_node = self.machine.config().cpus_per_node;
-        let log = self.build_log(ops, cpus_per_node);
-        for span in log {
-            let fence = span.fence;
-            self.exec_span(ops, span);
-            // Every shard consumed the descriptor (an empty bucket is
-            // consumed by skipping it).
-            for cursor in &mut self.span_cursors {
-                *cursor += 1;
-            }
-            if let Some(at) = fence {
-                self.stats.log_fences += 1;
-                self.exec_blocking(&ops[at]);
-            }
-            self.epochs.advance();
-        }
-        // The up-front scan stamps each span at its own execution
-        // epoch, so once every span has executed (one advance each) no
-        // stamp can sit past the clock.
-        debug_assert!(
-            self.dir_epoch_high_water() <= self.epochs.current().0,
-            "ownership stamp from the future: a scan classified past its epoch"
-        );
-    }
-
-    /// Lockstep engines (pipeline/barrier): scan a window, execute it,
-    /// fence at the blocking op, repeat.
-    fn run_ops_windowed(&mut self, ops: &[TraceOp]) {
         let cpus_per_node = self.machine.config().cpus_per_node;
         let mut cursor = 0usize;
-        // End of the window starting at `cursor` when the previous
-        // iteration's overlapped prefetch scan already classified it
-        // (and merged its footprint updates at the barrier).
-        let mut prefetched: Option<usize> = None;
         while cursor < ops.len() {
-            let end = match prefetched.take() {
-                Some(end) => end,
-                None => self.scan_window(ops, cursor, cpus_per_node),
-            };
-            // Execute the window; a pipelined parallel window scans
-            // the next one into the overlay while its workers run and
-            // returns that window's end (unless a fault invalidated
-            // the prefetch).
-            prefetched = self.exec_window(ops, cursor, end, cpus_per_node);
-            debug_assert!(prefetched.is_none() || end < ops.len());
+            let end = self.scan_window(ops, cursor, cpus_per_node);
+            self.exec_window(ops, cursor, end);
             // Execute the blocking op (if any) serially on the whole
             // machine, then start the next epoch.
             if end < ops.len() {
@@ -1395,13 +1036,6 @@ impl ShardedMachine {
                 cursor = end;
             }
             self.epochs.advance();
-            // A prefetched scan stamps at the *next* window's epoch —
-            // exactly the clock value after this advance — so stamps
-            // never sit past the clock at a barrier.
-            debug_assert!(
-                self.dir_epoch_high_water() <= self.epochs.current().0,
-                "ownership stamp from the future: a scan classified past its epoch"
-            );
         }
     }
 
@@ -1412,60 +1046,15 @@ impl ShardedMachine {
     /// not per op — yields the in-place borrow the whole scan
     /// classifies against.
     fn scan_window(&mut self, ops: &[TraceOp], cursor: usize, cpus_per_node: u16) -> usize {
-        let epoch = self.epochs.current().0;
+        let footprints = Arc::make_mut(&mut self.footprints);
         let mut end = cursor;
-        let mut target = ScanTarget::Base(Arc::make_mut(&mut self.footprints));
         while end < ops.len()
             && classify(
                 &ops[end],
-                &mut target,
+                footprints,
                 &mut self.machine,
                 &self.shard_of_node,
                 cpus_per_node,
-                epoch,
-            ) == Class::Contained
-        {
-            end += 1;
-        }
-        end
-    }
-
-    /// The overlapped half of the pipeline: scans the window *after*
-    /// the blocking op at `blocking` while pool workers are still
-    /// executing the current window, writing every footprint update to
-    /// the coordinator-private overlay (workers hold frozen `Arc`
-    /// views of the base, which must not move under them). Returns the
-    /// prefetched window's end.
-    ///
-    /// Scanning past the not-yet-executed blocking op is exact:
-    /// classification depends only on the footprint directory, the
-    /// page manager's home table, and the first-touch arming flag.
-    /// A `Barrier` touches none of those; a blocking `Access`'s page
-    /// was already footprinted and homed when it was classified; and
-    /// `ArmFirstTouch`'s one scan-visible effect — the arming flag —
-    /// is monotone and idempotent, so it is applied here, early (the
-    /// serial re-arm at `exec_blocking` is then a no-op). Early arming
-    /// cannot perturb the in-flight window: its workers resolve homes
-    /// through the frozen footprint view, never the page manager.
-    fn prefetch_scan(&mut self, ops: &[TraceOp], blocking: usize, cpus_per_node: u16) -> usize {
-        if matches!(ops[blocking], TraceOp::ArmFirstTouch) {
-            self.machine.pages_mut().arm_first_touch();
-        }
-        // The scanned window executes one epoch after the in-flight one.
-        let epoch = self.epochs.current().0 + 1;
-        let mut end = blocking + 1;
-        let mut target = ScanTarget::Overlay {
-            base: &self.footprints,
-            overlay: &mut self.scan_overlay,
-        };
-        while end < ops.len()
-            && classify(
-                &ops[end],
-                &mut target,
-                &mut self.machine,
-                &self.shard_of_node,
-                cpus_per_node,
-                epoch,
             ) == Class::Contained
         {
             end += 1;
@@ -1479,168 +1068,20 @@ impl ShardedMachine {
         self.shard_of_node[node] as usize
     }
 
-    /// Builds the shared span log for one segment: a single pass in
-    /// trace order classifies every op against the footprint directory
-    /// and appends one fence-delimited [`SpanDesc`] per window.
-    ///
-    /// Two things distinguish this from the lockstep engines' scans:
-    ///
-    /// * **Arms fold.** `ArmFirstTouch`'s one scan-visible effect —
-    ///   the page manager's arming flag — is applied right here, in
-    ///   trace order, and the op never fences: the windows on either
-    ///   side merge into one span. This is exact for the same reason
-    ///   the pipelined prefetch may arm early (the flag is monotone
-    ///   and idempotent, homes resolve in trace order either way), and
-    ///   it is what retires the global barrier the arm used to force.
-    /// * **The whole segment scans before anything executes.**
-    ///   Classification depends only on the monotone footprints, the
-    ///   trace-order home resolution, and the arming flag — never on
-    ///   execution state — so scanning arbitrarily far past unexecuted
-    ///   blocking ops is exact (the pipelined engine's one-window
-    ///   lookahead argument, applied inductively). Footprints are
-    ///   frozen once per segment; there is no overlay.
-    ///
-    /// Each span's ownership epoch is `base_epoch + its log position`;
-    /// [`classify`] stamps that epoch into `PageInfo::owner_epoch` on
-    /// every writer-set transition, so a deferred effect's
-    /// `(epoch, home, seq)` key carries the epoch of the span that
-    /// owns the transition, with `seq` still the global trace position.
-    fn build_log(&mut self, ops: &[TraceOp], cpus_per_node: u16) -> Vec<SpanDesc> {
-        let base_epoch = self.epochs.current().0;
-        let shards = self.ranges.len();
-        let threshold = self.parallel_threshold;
-        let mut log: Vec<SpanDesc> = Vec::new();
-        let mut buckets: Vec<Bucket> = (0..shards).map(|_| Bucket::default()).collect();
-        let mut per_cpu_ops = 0usize;
-        let mut start = 0usize;
-        // The coordinator is sole owner until execution starts: one
-        // make_mut for the whole segment scan.
-        let mut target = ScanTarget::Base(Arc::make_mut(&mut self.footprints));
-        for (i, op) in ops.iter().enumerate() {
-            if matches!(op, TraceOp::ArmFirstTouch) {
-                self.machine.pages_mut().arm_first_touch();
-                self.stats.arms_folded += 1;
-                continue;
-            }
-            let epoch = base_epoch + log.len() as u64;
-            let class = classify(
-                op,
-                &mut target,
-                &mut self.machine,
-                &self.shard_of_node,
-                cpus_per_node,
-                epoch,
-            );
-            match class {
-                Class::Contained => {
-                    if let TraceOp::Access { cpu, .. } | TraceOp::Think { cpu, .. } = *op {
-                        let node = (cpu.0 / cpus_per_node) as usize;
-                        let shard = self.shard_of_node[node] as usize;
-                        buckets[shard].push(i as u64, cpu, *op);
-                        per_cpu_ops += 1;
-                    }
-                }
-                Class::Blocking => {
-                    log.push(close_span(
-                        start..i,
-                        Some(i),
-                        per_cpu_ops,
-                        threshold,
-                        &mut buckets,
-                    ));
-                    per_cpu_ops = 0;
-                    start = i + 1;
-                }
-            }
-        }
-        if start < ops.len() || per_cpu_ops > 0 {
-            log.push(close_span(
-                start..ops.len(),
-                None,
-                per_cpu_ops,
-                threshold,
-                &mut buckets,
-            ));
-        }
-        log
-    }
-
-    /// Consumes one span of the shared log at the current epoch:
-    /// below-threshold spans replay batched on the coordinator (the
-    /// folded arms inside the range re-arm as idempotent no-ops);
-    /// larger spans dispatch the descriptor's pre-built buckets — one
-    /// job per shard, first non-empty bucket inline on the coordinator
-    /// — and close with the effect barrier in canonical
-    /// `(epoch, home, seq)` order.
-    fn exec_span(&mut self, ops: &[TraceOp], span: SpanDesc) {
-        if span.range.is_empty() {
-            return;
-        }
-        self.stats.windows += 1;
-        self.stats.log_spans += 1;
-        self.stats.contained_ops += span.per_cpu_ops as u64;
-        let epoch = self.epochs.current().0;
-        if span.buckets.is_empty() {
-            self.machine.apply_batch(&ops[span.range]);
-            return;
-        }
-        self.stats.parallel_windows += 1;
-        for (slot, bucket) in self.op_buckets.iter_mut().zip(span.buckets) {
-            self.stats.bucket_runs += bucket.runs.len() as u64;
-            *slot = bucket;
-        }
-        let cfg = *self.machine.config();
-        let armed = self.armed();
-        self.machine.detach_shards(&self.ranges, &mut self.chunks);
-        let mut inline_shard = None;
-        let mut pending: Vec<Pending> = Vec::new();
-        for s in 0..self.ranges.len() {
-            if self.op_buckets[s].is_empty() {
-                continue;
-            }
-            if inline_shard.is_none() {
-                inline_shard = Some(s);
-                continue;
-            }
-            self.dispatch_shard(s, &cfg, epoch, armed, &mut pending);
-        }
-        if let Some(s) = inline_shard {
-            let bucket = &self.op_buckets[s];
-            let mut lane = self.chunks[s].lanes(&cfg, &self.footprints, epoch);
-            lane.run_batch(&bucket.ops, &bucket.runs);
-        }
-        self.collect_pending(&mut pending, &cfg, epoch);
-        self.machine.attach_shards(&mut self.chunks);
-        self.apply_effects(epoch);
-    }
-
     /// Executes a contained window: inline when smaller than the
     /// fan-out threshold, otherwise fanned out over the pool with
     /// cross-shard effects replayed in canonical order at the closing
     /// barrier. (Single-shard and worker-less executions never reach
     /// here — `run_ops` bypasses the scan entirely.)
-    ///
-    /// On the pipelined parallel path the coordinator scans the *next*
-    /// window into the overlay while workers execute this one, and
-    /// returns that window's end — `None` when nothing was prefetched,
-    /// or when a fault recovery at the barrier invalidated the
-    /// prefetch (overlay discarded, `scans_invalidated` bumped; the
-    /// caller re-scans deterministically).
-    fn exec_window(
-        &mut self,
-        ops: &[TraceOp],
-        start: usize,
-        end: usize,
-        cpus_per_node: u16,
-    ) -> Option<usize> {
+    fn exec_window(&mut self, ops: &[TraceOp], start: usize, end: usize) {
         if start == end {
-            return None;
+            return;
         }
         self.stats.windows += 1;
         self.stats.contained_ops += (end - start) as u64;
         if end - start < self.parallel_threshold {
             self.machine.apply_batch(&ops[start..end]);
-            return None;
+            return;
         }
         self.stats.parallel_windows += 1;
 
@@ -1690,47 +1131,14 @@ impl ShardedMachine {
             lane.run_batch(&bucket.ops, &bucket.runs);
         }
 
-        // The pipeline's overlap: with workers still executing their
-        // buckets, scan the next window into the overlay. Only worth
-        // anything when jobs are actually in flight — otherwise the
-        // scan would run now or at the next iteration all the same.
-        let mut prefetched = None;
-        if self.engine == ExecEngine::Pipeline && end < ops.len() && !pending.is_empty() {
-            prefetched = Some(self.prefetch_scan(ops, end, cpus_per_node));
-            self.stats.scans_prefetched += 1;
-        }
-
         // Epoch barrier: every chunk comes home — from its worker, or
         // re-executed from its pre-dispatch snapshot when the worker
         // panicked or the watchdog fired — then buffered cross-shard
         // directory effects replay in canonical (epoch, home, seq)
         // order.
-        let recovered = self.collect_pending(&mut pending, &cfg, epoch);
+        self.collect_pending(&mut pending, &cfg, epoch);
         self.machine.attach_shards(&mut self.chunks);
         self.apply_effects(epoch);
-
-        // Resolve the prefetched scan against what the barrier saw.
-        // Fault recovery re-executed buckets inline; the recovery
-        // invariant is deliberately conservative — no speculative scan
-        // state survives a recovered window — so the overlay is
-        // discarded and the caller re-scans. The re-scan is exact:
-        // every overlay mutation was coordinator-private, and home
-        // resolution is idempotent (a re-touched page keeps its fixed
-        // home), so the re-scan reproduces the discarded window
-        // verbatim. On the undisturbed path the overlay merges into
-        // the base — the coordinator is sole owner again, every worker
-        // dropped its `Arc` view before replying — and the prefetched
-        // window dispatches without ever re-reading those ops.
-        if prefetched.is_some() {
-            if recovered {
-                prefetched = None;
-                self.scan_overlay.clear();
-                self.stats.scans_invalidated += 1;
-            } else {
-                Arc::make_mut(&mut self.footprints).merge_from(&mut self.scan_overlay);
-            }
-        }
-        prefetched
     }
 
     /// Dispatches shard `s`'s filled bucket to the pool, appending to
@@ -1809,17 +1217,11 @@ impl ShardedMachine {
         }
     }
 
-    /// Collects every still-pending job at a window/span barrier: each
+    /// Collects every still-pending job at a window barrier: each
     /// chunk comes home from its worker, or is re-executed from its
     /// pre-dispatch snapshot when the worker panicked or the watchdog
-    /// fired. Returns whether any job was recovered.
-    fn collect_pending(
-        &mut self,
-        pending: &mut Vec<Pending>,
-        cfg: &MachineConfig,
-        epoch: u64,
-    ) -> bool {
-        let mut recovered = false;
+    /// fired.
+    fn collect_pending(&mut self, pending: &mut Vec<Pending>, cfg: &MachineConfig, epoch: u64) {
         while !pending.is_empty() {
             let done = match self.deadline_ms {
                 None => match self.reply_rx.recv() {
@@ -1835,7 +1237,6 @@ impl ShardedMachine {
                         for p in std::mem::take(pending) {
                             self.recover_window(p, cfg, epoch, &PoolError::DeadlineElapsed(ms));
                         }
-                        recovered = true;
                         break;
                     }
                     Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -1860,15 +1261,13 @@ impl ShardedMachine {
                     // recover the window exactly.
                     self.pool.respawn_worker();
                     self.recover_window(p, cfg, epoch, &PoolError::WorkerPanicked(payload));
-                    recovered = true;
                 }
             }
         }
-        recovered
     }
 
     /// Replays the buffered cross-shard directory effects of the window
-    /// (or span) that just closed, in canonical `(epoch, home, seq)`
+    /// that just closed, in canonical `(epoch, home, seq)`
     /// order.
     fn apply_effects(&mut self, epoch: u64) {
         let effects = &mut self.effect_scratch;
@@ -1914,10 +1313,6 @@ impl ShardedMachine {
         self.chunks[p.slot] = chunk;
         self.op_buckets[p.slot] = bucket;
         self.stats.recovered_jobs += 1;
-        // The rollback is per-cursor: only the faulted shard's
-        // consumption rewound to its pre-dispatch snapshot — the other
-        // shards' completed work stands.
-        self.cursor_rollbacks[p.slot] += 1;
         let kind = match (err, p.inject) {
             (PoolError::DeadlineElapsed(_), _) => FaultKind::Hang,
             (_, Some(Inject::PanicBefore)) => FaultKind::PanicBefore,
@@ -1940,99 +1335,6 @@ impl ShardedMachine {
     }
 }
 
-/// Where a window scan writes its footprint updates.
-///
-/// Between windows the coordinator owns the base table and mutates it
-/// in place. During a pipelined window the base is frozen under the
-/// workers' `Arc` views, so the overlapped prefetch scan copies each
-/// touched entry into the coordinator-private overlay on first touch
-/// and updates it there (reads resolve overlay-first); the overlay
-/// merges back — or is discarded wholesale on fault recovery — at the
-/// barrier.
-enum ScanTarget<'a> {
-    /// Sole-owner scan between windows: mutate the base in place.
-    Base(&'a mut Footprints),
-    /// Overlapped prefetch scan: base frozen, updates to the overlay.
-    Overlay {
-        base: &'a Footprints,
-        overlay: &'a mut Footprints,
-    },
-}
-
-impl PageInfo {
-    /// Folds one scanned reference by shard-bit `bit` at `epoch` into
-    /// the entry: the shard joins the footprint, a store joins the
-    /// writer set, and a writer-set transition (a shard storing for
-    /// the first time) re-stamps the ownership epoch.
-    fn touch(&mut self, bit: u32, write: bool, epoch: u64) {
-        self.shard_mask |= bit;
-        if write && self.writer_mask & bit == 0 {
-            self.writer_mask |= bit;
-            self.owner_epoch = epoch;
-        }
-    }
-}
-
-impl ScanTarget<'_> {
-    /// Reads, updates, and returns `page`'s footprint entry, creating
-    /// it (home resolved through `resolve`) on the page's first-ever
-    /// reference.
-    fn update(
-        &mut self,
-        page: VPage,
-        bit: u32,
-        write: bool,
-        epoch: u64,
-        resolve: impl FnOnce() -> NodeId,
-    ) -> PageInfo {
-        let fresh = |home| PageInfo {
-            shard_mask: bit,
-            writer_mask: if write { bit } else { 0 },
-            home,
-            owner_epoch: epoch,
-        };
-        let info = match self {
-            ScanTarget::Base(fp) => {
-                if let Some(info) = fp.get_mut(page) {
-                    info.touch(bit, write, epoch);
-                    *info
-                } else {
-                    let info = fresh(resolve());
-                    fp.insert(page, info);
-                    info
-                }
-            }
-            ScanTarget::Overlay { base, overlay } => {
-                if let Some(info) = overlay.get_mut(page) {
-                    info.touch(bit, write, epoch);
-                    *info
-                } else {
-                    // Copy-on-first-touch from the frozen base, or a
-                    // brand-new page; either way the authoritative
-                    // entry now lives in the overlay.
-                    let info = match base.get(page) {
-                        Some(seen) => {
-                            let mut info = *seen;
-                            info.touch(bit, write, epoch);
-                            info
-                        }
-                        None => fresh(resolve()),
-                    };
-                    overlay.insert(page, info);
-                    info
-                }
-            }
-        };
-        // Fold the stamp into the bank's high-water tag on whichever
-        // table is authoritative for the page right now.
-        match self {
-            ScanTarget::Base(fp) => fp.tag(page, info.owner_epoch),
-            ScanTarget::Overlay { overlay, .. } => overlay.tag(page, info.owner_epoch),
-        }
-        info
-    }
-}
-
 /// Classifies one op, updating the page footprint and pre-resolving
 /// the page's home exactly as the serial fault would. A free function
 /// over the executor's split-borrowed fields so the scan loop holds
@@ -2041,10 +1343,9 @@ impl ScanTarget<'_> {
 /// The home resolution is sound to run at scan time: a page's first
 /// trace reference is necessarily its first machine-wide fault (an
 /// unhomed page cannot be mapped — or cached — anywhere), the scan
-/// visits references in trace order, and a scan only runs past a
-/// blocking op after that op's sole scan-visible effect — first-touch
-/// arming — has been applied (see
-/// [`ShardedMachine::prefetch_scan`]).
+/// visits references in trace order, and a scan never runs past a
+/// blocking op before that op has executed (so first-touch arming is
+/// always in effect when a later reference resolves its home).
 ///
 /// An access is contained when its page's home lies in the issuer's
 /// shard **and** either
@@ -2066,18 +1367,12 @@ impl ScanTarget<'_> {
 ///   must invalidate every foreign copy, so it is contained only under
 ///   the strict rule.
 ///
-/// The `epoch` stamps `PageInfo::owner_epoch` on every writer-set
-/// transition — the per-page fence the log engine's exactness argument
-/// is phrased in (`docs/DETERMINISM.md`): an access that would cross
-/// an ownership boundary is, by this rule, blocking, so it executes at
-/// a fence *after* the epoch that owns the transition.
 fn classify(
     op: &TraceOp,
-    target: &mut ScanTarget<'_>,
+    footprints: &mut Footprints,
     machine: &mut Machine,
     shard_of_node: &[u8],
     cpus_per_node: u16,
-    epoch: u64,
 ) -> Class {
     match *op {
         TraceOp::Think { .. } => Class::Contained,
@@ -2087,9 +1382,18 @@ fn classify(
             let shard = shard_of_node[node] as usize;
             let bit = 1u32 << shard;
             let page = va.vpage();
-            let info = target.update(page, bit, write, epoch, || {
-                machine.pages_mut().home_on_touch(page, NodeId(node as u8))
-            });
+            let info = if let Some(info) = footprints.0.get_mut(page) {
+                info.touch(bit, write);
+                *info
+            } else {
+                let info = PageInfo {
+                    shard_mask: bit,
+                    writer_mask: if write { bit } else { 0 },
+                    home: machine.pages_mut().home_on_touch(page, NodeId(node as u8)),
+                };
+                footprints.0.insert(page, info);
+                info
+            };
             let home_shard = shard_of_node[info.home.0 as usize] as usize;
             let exclusive = info.shard_mask == bit;
             let own_writers = !write && info.writer_mask & !bit == 0;
@@ -2099,33 +1403,6 @@ fn classify(
                 Class::Blocking
             }
         }
-    }
-}
-
-/// Closes the span `range` into a log descriptor: spans past the
-/// parallel threshold take the scan's per-shard buckets with them
-/// (the slots are left empty for the next span); smaller spans drop
-/// the buckets and replay batched at consumption.
-fn close_span(
-    range: Range<usize>,
-    fence: Option<usize>,
-    per_cpu_ops: usize,
-    threshold: usize,
-    buckets: &mut [Bucket],
-) -> SpanDesc {
-    let taken = if per_cpu_ops >= threshold {
-        buckets.iter_mut().map(std::mem::take).collect()
-    } else {
-        for bucket in buckets.iter_mut() {
-            bucket.clear();
-        }
-        Vec::new()
-    };
-    SpanDesc {
-        range,
-        fence,
-        per_cpu_ops,
-        buckets: taken,
     }
 }
 
@@ -2155,97 +1432,6 @@ pub fn shards_from_env() -> Option<usize> {
 #[must_use]
 pub fn window_deadline_from_env() -> Option<u64> {
     crate::experiment::env_usize("RNUMA_WINDOW_DEADLINE_MS", None, usize::MAX).map(|ms| ms as u64)
-}
-
-/// The footprint-directory sub-shard count requested via
-/// `RNUMA_DIR_SHARDS`, if any.
-///
-/// Unset means "use the default" ([`DEFAULT_DIR_SHARDS`]). Banking is
-/// pure layout — any count produces bit-identical results — so a value
-/// that is set but not usable (`0` or unparsable) is a
-/// misconfiguration: a warning is printed to stderr (once per process,
-/// via the shared [`env_usize`](crate::experiment::env_usize)
-/// contract) and the default applies. Counts above [`MAX_DIR_SHARDS`]
-/// clamp down.
-#[must_use]
-pub fn dir_shards_from_env() -> Option<usize> {
-    crate::experiment::env_usize("RNUMA_DIR_SHARDS", None, MAX_DIR_SHARDS)
-}
-
-/// Whether `RNUMA_PIPELINE` enables pipelined window execution
-/// (default: on).
-///
-/// `0`, `off`, and `false` select the plain barrier engine — the
-/// differential reference, and an A/B lever for benchmarks. `1`, `on`,
-/// and `true` select the pipeline explicitly. Anything else is a
-/// misconfiguration: a warning is printed to stderr (once per process)
-/// and the default (pipelined) applies.
-#[must_use]
-pub fn pipeline_from_env() -> bool {
-    let Some(raw) = crate::experiment::env_raw("RNUMA_PIPELINE") else {
-        return true;
-    };
-    match raw.as_str() {
-        "0" | "off" | "false" => false,
-        "1" | "on" | "true" => true,
-        _ => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "rnuma: RNUMA_PIPELINE={raw:?} is not a switch \
-                     (want 0/off/false or 1/on/true); pipelining stays on"
-                );
-            });
-            true
-        }
-    }
-}
-
-/// The window scheduler requested via `RNUMA_EXEC`, if any.
-///
-/// Unset means "no explicit engine choice". A value that is set but
-/// not an engine name is a misconfiguration: a warning is printed to
-/// stderr (once per process) and the choice falls through to the
-/// default resolution (`RNUMA_PIPELINE` if set, else the log engine) —
-/// mirroring the other `RNUMA_*` contracts.
-#[must_use]
-pub fn exec_from_env() -> Option<ExecEngine> {
-    let raw = crate::experiment::env_raw("RNUMA_EXEC")?;
-    match raw.as_str() {
-        "log" => Some(ExecEngine::Log),
-        "pipeline" | "pipelined" => Some(ExecEngine::Pipeline),
-        "barrier" => Some(ExecEngine::Barrier),
-        _ => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "rnuma: RNUMA_EXEC={raw:?} is not an engine \
-                     (want log, pipeline, or barrier); using the default"
-                );
-            });
-            None
-        }
-    }
-}
-
-/// Resolves the engine a fresh [`ShardedMachine`] executes with:
-/// `RNUMA_EXEC` wins when set to a valid engine; otherwise a *set*
-/// `RNUMA_PIPELINE` keeps its legacy two-way meaning; otherwise the
-/// log engine (the default).
-#[must_use]
-pub fn engine_from_env() -> ExecEngine {
-    if let Some(engine) = exec_from_env() {
-        return engine;
-    }
-    if crate::experiment::env_raw("RNUMA_PIPELINE").is_some() {
-        if pipeline_from_env() {
-            ExecEngine::Pipeline
-        } else {
-            ExecEngine::Barrier
-        }
-    } else {
-        ExecEngine::Log
-    }
 }
 
 #[cfg(test)]
@@ -2689,32 +1875,19 @@ mod tests {
         for (n, parallel) in [(threshold, 1u64), (threshold - 1, 0u64)] {
             let ops = window(n);
             let serial = serial_replay_on(config(), &ops);
-            for engine in [ExecEngine::Log, ExecEngine::Pipeline, ExecEngine::Barrier] {
-                let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-                sm.set_parallel_threshold(threshold);
-                sm.set_engine(engine);
-                sm.run_trace(&ops);
-                assert!(
-                    serial.replay_eq(&sm.metrics()),
-                    "{engine} diverged at {n} ops"
-                );
-                let stats = sm.stats();
-                assert_eq!(stats.windows, 1, "{engine}, {n} ops: {stats:?}");
-                assert_eq!(
-                    stats.parallel_windows, parallel,
-                    "threshold must be inclusive at {n} ops on {engine}: {stats:?}"
-                );
-                assert_eq!(stats.contained_ops, n as u64);
-                if engine == ExecEngine::Log {
-                    // The log engine folds the arm into the scan; only
-                    // the barrier fences (and serializes).
-                    assert_eq!(stats.serialized_ops, 1, "{engine}: {stats:?}");
-                    assert_eq!(stats.arms_folded, 1, "{engine}: {stats:?}");
-                } else {
-                    // ArmFirstTouch + Barrier serialize between windows.
-                    assert_eq!(stats.serialized_ops, 2, "{engine}: {stats:?}");
-                }
-            }
+            let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
+            sm.set_parallel_threshold(threshold);
+            sm.run_trace(&ops);
+            assert!(serial.replay_eq(&sm.metrics()), "diverged at {n} ops");
+            let stats = sm.stats();
+            assert_eq!(stats.windows, 1, "{n} ops: {stats:?}");
+            assert_eq!(
+                stats.parallel_windows, parallel,
+                "threshold must be inclusive at {n} ops: {stats:?}"
+            );
+            assert_eq!(stats.contained_ops, n as u64);
+            // ArmFirstTouch + Barrier serialize between windows.
+            assert_eq!(stats.serialized_ops, 2, "{stats:?}");
         }
     }
 
@@ -2851,7 +2024,6 @@ mod tests {
         let serial = serial_replay_on(config(), &ops);
         let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
         sm.set_parallel_threshold(1);
-        sm.set_pipelined(true);
         sm.run_trace(&ops);
         assert!(serial.replay_eq(&sm.metrics()));
         let stats = sm.stats();
@@ -2865,237 +2037,5 @@ mod tests {
             "arm + foreign read + 2 stores + 10 foreign-owned reads \
              serialize: {stats:?}"
         );
-
-        // The log engine agrees op-for-op; only the arm stops
-        // serializing (it folds into the scan).
-        let mut lg = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-        lg.set_parallel_threshold(1);
-        lg.set_engine(ExecEngine::Log);
-        lg.run_trace(&ops);
-        assert!(serial.replay_eq(&lg.metrics()));
-        let stats = lg.stats();
-        assert_eq!(stats.contained_ops, 111, "log engine: {stats:?}");
-        assert_eq!(stats.serialized_ops, 13, "log engine: {stats:?}");
-        assert_eq!(stats.arms_folded, 1, "log engine: {stats:?}");
-    }
-
-    /// The pipelined engine overlaps next-window scans with pool
-    /// execution (`scans_prefetched`), the barrier engine never does,
-    /// and both are bit-identical to serial on a fan-out-heavy trace.
-    #[test]
-    fn pipelined_and_barrier_engines_agree_bit_identically() {
-        let ops = mixed_trace(128, 16);
-        let serial = serial_replay_on(config(), &ops);
-
-        let mut pipelined = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-        pipelined.set_parallel_threshold(32);
-        pipelined.set_pipelined(true);
-        pipelined.run_trace(&ops);
-        assert!(serial.replay_eq(&pipelined.metrics()));
-        assert!(
-            pipelined.stats().scans_prefetched > 0,
-            "pipelined engine never overlapped a scan: {:?}",
-            pipelined.stats()
-        );
-        assert_eq!(pipelined.stats().scans_invalidated, 0);
-
-        let mut barrier = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-        barrier.set_parallel_threshold(32);
-        barrier.set_pipelined(false);
-        barrier.run_trace(&ops);
-        assert!(serial.replay_eq(&barrier.metrics()));
-        assert_eq!(
-            barrier.stats().scans_prefetched,
-            0,
-            "barrier engine must never prefetch: {:?}",
-            barrier.stats()
-        );
-    }
-
-    /// Footprint-directory banking is pure layout: every sub-shard
-    /// count yields bit-identical metrics *and* identical scheduling
-    /// statistics (same windows, same containment, same fan-out).
-    #[test]
-    fn dir_shard_banking_is_pure_layout() {
-        let ops = mixed_trace(96, 8);
-        let serial = serial_replay_on(config(), &ops);
-        let mut reference: Option<ShardStats> = None;
-        for banks in [1usize, 3, 8] {
-            let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-            sm.set_parallel_threshold(32);
-            sm.set_dir_shards(banks);
-            assert_eq!(sm.dir_shards(), banks);
-            sm.run_trace(&ops);
-            assert!(
-                serial.replay_eq(&sm.metrics()),
-                "{banks} banks diverged from serial"
-            );
-            let stats = sm.stats();
-            match &reference {
-                None => reference = Some(stats),
-                Some(first) => {
-                    assert_eq!(*first, stats, "banking changed scheduling at {banks} banks")
-                }
-            }
-        }
-    }
-
-    /// A worker fault detected at a barrier with a prefetched scan in
-    /// flight discards the overlay (`scans_invalidated`), re-scans,
-    /// and still replays bit-identically.
-    #[test]
-    fn fault_recovery_invalidates_inflight_prefetch() {
-        let ops = mixed_trace(64, 8);
-        let serial = serial_replay_on(config(), &ops);
-        let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-        sm.set_parallel_threshold(1);
-        sm.set_pipelined(true);
-        sm.set_fault_plan(Some(FaultPlan::parse("panic_before@0,seed=5").unwrap()));
-        sm.run_trace(&ops);
-        assert!(serial.replay_eq(&sm.metrics()));
-        let stats = sm.stats();
-        assert!(stats.recovered_jobs >= 1, "fault never fired: {stats:?}");
-        assert!(
-            stats.scans_invalidated >= 1,
-            "recovery must discard the in-flight prefetch: {stats:?}"
-        );
-        assert!(stats.scans_prefetched > stats.scans_invalidated);
-    }
-
-    /// The log engine consumes the shared span log bit-identically to
-    /// serial, folds every arm into the scan (no arm ever serializes),
-    /// keeps the scan entirely off the execution path (nothing
-    /// prefetches, nothing invalidates), and advances every shard's
-    /// consumption cursor through the whole log.
-    #[test]
-    fn log_engine_folds_arms_and_consumes_cursors() {
-        let ops = mixed_trace(128, 16);
-        let serial = serial_replay_on(config(), &ops);
-        let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-        sm.set_parallel_threshold(32);
-        sm.set_engine(ExecEngine::Log);
-        assert_eq!(sm.engine(), ExecEngine::Log);
-        sm.run_trace(&ops);
-        assert!(serial.replay_eq(&sm.metrics()));
-        let stats = sm.stats();
-        assert_eq!(stats.arms_folded, 1, "{stats:?}");
-        assert_eq!(stats.windows, stats.log_spans, "{stats:?}");
-        assert!(
-            stats.log_spans >= 1 && stats.parallel_windows >= 1,
-            "{stats:?}"
-        );
-        assert_eq!(stats.scans_prefetched, 0, "{stats:?}");
-        assert_eq!(stats.scans_invalidated, 0, "{stats:?}");
-        // Every serialized op was a true fence (never an arm).
-        assert_eq!(stats.log_fences, stats.serialized_ops, "{stats:?}");
-        let cursors = sm.span_cursors();
-        assert!(
-            cursors.iter().all(|&c| c == cursors[0]) && cursors[0] >= 1,
-            "all shards must have consumed the whole log: {cursors:?}"
-        );
-        assert!(sm.cursor_rollbacks().iter().all(|&r| r == 0));
-    }
-
-    /// Log engine vs. the two lockstep references when an arm is the
-    /// only thing separating two contained runs: the lockstep engines
-    /// fence at the arm (two windows), the log engine folds it and
-    /// forms one merged span — all bit-identical to serial.
-    #[test]
-    fn log_engine_merges_windows_across_arms() {
-        let mut ops = vec![TraceOp::ArmFirstTouch];
-        let run_of = |base: u64| {
-            (0..64u64).map(move |i| TraceOp::Access {
-                cpu: CpuId((i % 4) as u16),
-                va: Va((1 << 20) + base + (i % 128) * 32),
-                write: false,
-            })
-        };
-        ops.extend(run_of(0));
-        ops.push(TraceOp::ArmFirstTouch); // re-arm between the two runs
-        ops.extend(run_of(8192));
-        ops.push(TraceOp::Barrier);
-        let serial = serial_replay_on(config(), &ops);
-        let run = |engine: ExecEngine| {
-            let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-            sm.set_parallel_threshold(32);
-            sm.set_engine(engine);
-            sm.run_trace(&ops);
-            assert!(
-                serial.replay_eq(&sm.metrics()),
-                "{engine} diverged from serial"
-            );
-            sm.stats()
-        };
-        let log = run(ExecEngine::Log);
-        let pipeline = run(ExecEngine::Pipeline);
-        let barrier = run(ExecEngine::Barrier);
-        assert_eq!(log.arms_folded, 2, "{log:?}");
-        assert_eq!(pipeline.windows, barrier.windows);
-        assert_eq!(
-            barrier.windows, 2,
-            "lockstep engines fence at the mid-stream arm: {barrier:?}"
-        );
-        assert_eq!(
-            log.windows, 1,
-            "the folded arm must merge the two runs into one span: {log:?}"
-        );
-        assert_eq!(log.contained_ops, barrier.contained_ops);
-        // Lockstep engines serialize both arms + the barrier; the log
-        // engine serializes only the barrier.
-        assert_eq!(log.serialized_ops, 1);
-        assert_eq!(barrier.serialized_ops, 3);
-    }
-
-    /// Log-engine fault recovery is per-cursor: an injected worker
-    /// panic rolls back exactly the faulted shard's consumption to its
-    /// pre-dispatch snapshot — every other shard's completed spans
-    /// stand — and the run still replays bit-identically.
-    #[test]
-    fn log_fault_rolls_back_only_the_faulted_cursor() {
-        let ops = mixed_trace(64, 8);
-        let serial = serial_replay_on(config(), &ops);
-        let mut sm = ShardedMachine::with_pool(config(), 4, test_pool()).unwrap();
-        sm.set_parallel_threshold(1);
-        sm.set_engine(ExecEngine::Log);
-        sm.set_fault_plan(Some(FaultPlan::parse("panic_before@0,seed=5").unwrap()));
-        sm.run_trace(&ops);
-        assert!(serial.replay_eq(&sm.metrics()));
-        let stats = sm.stats();
-        assert_eq!(stats.recovered_jobs, 1, "fault never fired: {stats:?}");
-        assert_eq!(
-            stats.scans_invalidated, 0,
-            "the log engine has no prefetch to discard: {stats:?}"
-        );
-        let rollbacks = sm.cursor_rollbacks();
-        assert_eq!(
-            rollbacks.iter().filter(|&&r| r > 0).count(),
-            1,
-            "exactly one shard's cursor must roll back: {rollbacks:?}"
-        );
-        assert_eq!(rollbacks.iter().sum::<u64>(), stats.recovered_jobs);
-        // Consumption still completed: every cursor reached the end.
-        let cursors = sm.span_cursors();
-        assert!(cursors.iter().all(|&c| c == cursors[0]));
-    }
-
-    /// Engine selection plumbing: a fresh machine picks up the
-    /// environment's resolution, and the legacy `set_pipelined` shim
-    /// maps onto the two lockstep engines. (Env-mutation scenarios
-    /// live in `tests/sharded_env.rs`, which owns the process env.)
-    #[test]
-    fn engine_selector_and_legacy_shim_agree() {
-        let mut sm = ShardedMachine::with_pool(config(), 2, test_pool()).unwrap();
-        assert_eq!(sm.engine(), engine_from_env());
-        sm.set_pipelined(true);
-        assert_eq!(sm.engine(), ExecEngine::Pipeline);
-        assert!(sm.pipelined());
-        sm.set_pipelined(false);
-        assert_eq!(sm.engine(), ExecEngine::Barrier);
-        assert!(!sm.pipelined());
-        sm.set_engine(ExecEngine::Log);
-        assert!(!sm.pipelined());
-        assert_eq!(ExecEngine::Log.to_string(), "log");
-        assert_eq!(ExecEngine::Pipeline.to_string(), "pipeline");
-        assert_eq!(ExecEngine::Barrier.to_string(), "barrier");
     }
 }

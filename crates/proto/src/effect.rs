@@ -19,34 +19,6 @@
 //! contained window, nothing reads the deferred state before the
 //! barrier, so the replay reproduces the serial execution's directory
 //! bit-for-bit (see `docs/DETERMINISM.md`).
-//!
-//! **Keys stay exact under the pipelined executor.** Overlapping the
-//! next window's *scan* with the current window's execution produces
-//! no effects: only execution emits them, effect buffers still drain
-//! at their own window's barrier (every batch holds exactly one
-//! epoch), and `seq` is assigned at bucketing time from the op's
-//! global trace position — which the prefetched scan reads from the
-//! trace, not from any clock that could drift under overlap. A
-//! prefetched scan that is invalidated by fault recovery is discarded
-//! before it ever reaches bucketing, so no key from a speculative scan
-//! can be emitted at all.
-//!
-//! **Keys stay exact under the shared-log executor too.** The log
-//! engine retires the *global* epoch barrier: spans are scanned
-//! up-front into an append-only log and each shard advances its own
-//! consumption cursor, pausing only at per-page *ownership-epoch*
-//! fences (a page's footprint entry stamps the epoch of its last
-//! writer-set transition; an access that would cross an ownership
-//! boundary is by construction a blocking op, so it sits at a fence
-//! *after* the span that owns the transition). Exactness then rests on
-//! the same two legs as before: `epoch` is the span's position in the
-//! log — fixed at scan time, identical to what the lockstep engines
-//! count one barrier at a time — and `seq` is still the global trace
-//! position, so a span's effects sort identically no matter how far
-//! individual shards had run ahead when they were emitted. Epochs stay
-//! the key's major component precisely so that per-shard consumption
-//! order (which is *not* canonical) can never leak into application
-//! order (which is).
 
 use crate::directory::Directory;
 use rnuma_mem::addr::{NodeId, VBlock};
@@ -146,12 +118,11 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0].epoch <= w[1].epoch));
     }
 
-    /// Shards consuming the shared log at different paces emit their
-    /// spans' effects in arbitrary *arrival* order; one sort by the
-    /// canonical key must reassemble the exact serial application
-    /// order across multiple spans — span (epoch) major, then home,
-    /// then global trace position — regardless of which shard ran
-    /// ahead.
+    /// Effects from several epochs, arriving in arbitrary order (one
+    /// shard's late-epoch effects ahead of another's early ones): one
+    /// sort by the canonical key must reassemble the exact serial
+    /// application order — epoch major, then home, then global trace
+    /// position — regardless of arrival order.
     #[test]
     fn multi_span_log_consumption_reassembles_canonical_order() {
         let k = |epoch, home, seq| EffectKey {

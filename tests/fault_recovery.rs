@@ -12,7 +12,7 @@
 use rnuma::config::MachineConfig;
 use rnuma::experiment::{run_sweep_journaled, run_traced, SweepAbort, TraceStore};
 use rnuma::journal::Journal;
-use rnuma::shard::{ExecEngine, ShardPool, ShardedMachine, TraceOp};
+use rnuma::shard::{ShardPool, ShardedMachine, TraceOp};
 use rnuma_sim::fault::{FaultKind, FaultPlan};
 use rnuma_workloads::{by_name, Scale};
 use std::panic::AssertUnwindSafe;
@@ -157,150 +157,6 @@ fn pool_survives_worker_death_for_later_runs() {
     assert!(ShardPool::checking().workers() >= 1);
 }
 
-/// Pipelined drill: a worker panic that lands while the next window's
-/// scan is already prefetched forces the coordinator to discard the
-/// speculative overlay (`scans_invalidated`), re-scan, and still finish
-/// bit-identical — on every figure-grid configuration.
-#[test]
-fn pipelined_panic_discards_inflight_prefetch() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    for &config in &configs {
-        let reference = store.replay_serial(id, config);
-        for spec in ["panic_before@0,seed=5", "panic_after@0,seed=5"] {
-            let plan = FaultPlan::parse(spec).expect("specs above are well-formed");
-            let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-            sharded.set_pipelined(true);
-            sharded.set_fault_plan(Some(plan));
-            sharded.run_trace(&trace);
-            assert!(
-                reference.metrics.replay_eq(&sharded.metrics()),
-                "pipelined metrics diverged under plan {spec:?} on {}",
-                config.protocol
-            );
-            let stats = sharded.stats();
-            assert!(stats.recovered_jobs >= 1, "plan {spec:?} never recovered");
-            assert!(
-                stats.scans_invalidated >= 1,
-                "recovery under {spec:?} left a speculative scan alive"
-            );
-            assert!(
-                stats.scans_prefetched > stats.scans_invalidated,
-                "every prefetched scan was discarded under {spec:?} — \
-                 the fault-free tail of the run should have kept some"
-            );
-        }
-    }
-}
-
-/// Pipelined drill: a hang absorbed by the window watchdog also
-/// invalidates the in-flight prefetched scan — the recovery path is
-/// identical whether the fault surfaced as a panic or a timeout.
-#[test]
-fn pipelined_hang_invalidates_prefetch_via_watchdog() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    let config = configs[3]; // R-NUMA
-    let reference = store.replay_serial(id, config);
-
-    let plan = FaultPlan::parse("hang@0,hang_ms=200,seed=3").unwrap();
-    let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-    sharded.set_pipelined(true);
-    sharded.set_fault_plan(Some(plan));
-    sharded.set_window_deadline_ms(Some(20));
-    sharded.run_trace(&trace);
-    assert!(
-        reference.metrics.replay_eq(&sharded.metrics()),
-        "pipelined metrics diverged after watchdog recovery"
-    );
-    let stats = sharded.stats();
-    assert!(sharded.fault_log().count(FaultKind::Hang) >= 1);
-    assert!(stats.recovered_jobs >= 1);
-    assert!(
-        stats.scans_invalidated >= 1,
-        "watchdog recovery left a speculative scan alive"
-    );
-}
-
-/// Pipelined drill: a poisoned queue never leaves speculative state
-/// behind — poison fires at submission, before any job is in flight,
-/// so no scan is ever prefetched (prefetching only overlaps real pool
-/// work) and nothing needs invalidating. Degraded inline, bit-identical.
-#[test]
-fn pipelined_poison_never_speculates() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    let config = configs[1]; // CC-NUMA
-    let reference = store.replay_serial(id, config);
-
-    let plan = FaultPlan::parse("poison@0,seed=1").unwrap();
-    let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-    sharded.set_pipelined(true);
-    sharded.set_fault_plan(Some(plan));
-    sharded.run_trace(&trace);
-    assert!(
-        reference.metrics.replay_eq(&sharded.metrics()),
-        "pipelined metrics diverged after inline fallback"
-    );
-    let stats = sharded.stats();
-    assert!(stats.inline_fallbacks >= 1);
-    assert_eq!(
-        stats.scans_prefetched, 0,
-        "a scan was prefetched with no pool work in flight"
-    );
-    assert_eq!(stats.scans_invalidated, 0);
-}
-
-/// Shared-log drill: a worker panic under the log engine rolls back
-/// only the faulted shard's consumption cursor — the other shards'
-/// progress through the span log survives the recovery — and the run
-/// stays bit-identical on every figure-grid configuration. The log
-/// engine never speculates, so unlike the pipelined drills there is no
-/// prefetched scan to invalidate.
-#[test]
-fn log_fault_rolls_back_only_the_faulted_cursor_on_the_grid() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    for &config in &configs {
-        let reference = store.replay_serial(id, config);
-        for spec in ["panic_before@0,seed=5", "panic_after@0,seed=5"] {
-            let plan = FaultPlan::parse(spec).expect("specs above are well-formed");
-            let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-            sharded.set_engine(ExecEngine::Log);
-            sharded.set_fault_plan(Some(plan));
-            sharded.run_trace(&trace);
-            assert!(
-                reference.metrics.replay_eq(&sharded.metrics()),
-                "log metrics diverged under plan {spec:?} on {}",
-                config.protocol
-            );
-            let stats = sharded.stats();
-            assert_eq!(stats.recovered_jobs, 1, "plan {spec:?} fires exactly once");
-            assert_eq!(stats.scans_invalidated, 0, "log engine never speculates");
-            let rollbacks = sharded.cursor_rollbacks();
-            assert_eq!(
-                rollbacks.iter().filter(|&&r| r > 0).count(),
-                1,
-                "exactly the faulted shard's cursor rolls back: {rollbacks:?}"
-            );
-            assert_eq!(rollbacks.iter().sum::<u64>(), stats.recovered_jobs);
-            let cursors = sharded.span_cursors();
-            assert!(
-                cursors.iter().all(|&c| c == cursors[0] && c >= 1),
-                "recovery must re-consume the rolled-back span: {cursors:?}"
-            );
-        }
-    }
-}
-
 /// Capture-time allocation pressure downgrades trace interning to
 /// verbatim storage — more resident ops, identical replay results.
 #[test]
@@ -394,8 +250,7 @@ fn abort_drill_leaves_no_spill_file_behind() {
 /// abort, resumed from its journal, produces a grid bit-identical to a
 /// clean uninterrupted sweep — without re-simulating journaled cells.
 /// The resumed grid is then differentially pinned against a sharded
-/// re-execution under every engine: a journal restore is bit-identical
-/// to log, pipelined, and barrier execution alike.
+/// re-execution: a journal restore is bit-identical to the executor.
 #[test]
 fn journal_resume_is_bit_identical_to_clean_sweep() {
     let dir = std::env::temp_dir().join(format!("rnuma-fault-recovery-{}", std::process::id()));
@@ -448,22 +303,18 @@ fn journal_resume_is_bit_identical_to_clean_sweep() {
         );
     }
 
-    // Every engine agrees with the resumed grid: cells restored from
-    // the journal are bit-identical to sharded re-execution of the
-    // same stream under log, pipelined, and barrier consumption.
+    // Cells restored from the journal are bit-identical to sharded
+    // re-execution of the same stream.
     let trace = trace_on(configs[0]);
-    for engine in [ExecEngine::Log, ExecEngine::Pipeline, ExecEngine::Barrier] {
-        for r in &resumed {
-            let mut sharded = forced_sharded(r.config, Arc::new(ShardPool::new(2)));
-            sharded.set_fault_plan(None);
-            sharded.set_engine(engine);
-            sharded.run_trace(&trace);
-            assert!(
-                r.metrics.replay_eq(&sharded.metrics()),
-                "{engine} re-execution diverged from the resumed journal on {}",
-                r.protocol
-            );
-        }
+    for r in &resumed {
+        let mut sharded = forced_sharded(r.config, Arc::new(ShardPool::new(2)));
+        sharded.set_fault_plan(None);
+        sharded.run_trace(&trace);
+        assert!(
+            r.metrics.replay_eq(&sharded.metrics()),
+            "sharded re-execution diverged from the resumed journal on {}",
+            r.protocol
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,5 @@
 //! `RNUMA_SHARDS` plumbing — and the rest of the executor's env
-//! contract (`RNUMA_EXEC`, `RNUMA_PIPELINE`, `RNUMA_DIR_SHARDS`,
-//! `RNUMA_JOBS`): the environment variables route every batch driver
+//! contract (`RNUMA_JOBS`): the environment variables route every batch driver
 //! job (`run_parallel`, and therefore `rnuma_bench::run_grid`) through
 //! the self-checking sharded path, and misconfigured values follow one
 //! warn-once-then-default contract.
@@ -10,10 +9,7 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{parallel_workers, run, run_env_sharded, run_parallel};
-use rnuma::shard::{
-    dir_shards_from_env, engine_from_env, exec_from_env, pipeline_from_env, shards_from_env,
-    ExecEngine, ShardedMachine, DEFAULT_DIR_SHARDS, MAX_DIR_SHARDS,
-};
+use rnuma::shard::shards_from_env;
 use rnuma_bench::sweep_grid;
 use rnuma_workloads::{by_name, Scale};
 
@@ -74,70 +70,6 @@ fn rnuma_shards_routing() {
     with_env(Some("0"), || assert_eq!(shards_from_env(), None));
     with_env(Some("-3"), || assert_eq!(shards_from_env(), None));
 
-    // RNUMA_PIPELINE selects the engine: unset and the accepted "on"
-    // spellings are pipelined (the default), the "off" spellings are
-    // the barrier engine, anything else warns once and keeps the
-    // default. A freshly built machine picks the choice up.
-    with_var("RNUMA_PIPELINE", None, || assert!(pipeline_from_env()));
-    for on in ["1", "on", "true"] {
-        with_var("RNUMA_PIPELINE", Some(on), || assert!(pipeline_from_env()));
-    }
-    for off in ["0", "off", "false"] {
-        with_var("RNUMA_PIPELINE", Some(off), || {
-            assert!(!pipeline_from_env());
-            let sm = ShardedMachine::new(config, 2).expect("valid config");
-            assert!(!sm.pipelined());
-        });
-    }
-    with_var("RNUMA_PIPELINE", Some("sideways"), || {
-        assert!(pipeline_from_env());
-    });
-
-    // RNUMA_EXEC is the three-way engine selector and beats the legacy
-    // RNUMA_PIPELINE switch when both are set; with neither set the
-    // shared-log engine is the default. Garbage warns once and falls
-    // through to that resolution. A freshly built machine picks the
-    // choice up.
-    with_var("RNUMA_EXEC", None, || {
-        assert_eq!(exec_from_env(), None);
-        with_var("RNUMA_PIPELINE", None, || {
-            assert_eq!(engine_from_env(), ExecEngine::Log);
-            let sm = ShardedMachine::new(config, 2).expect("valid config");
-            assert_eq!(sm.engine(), ExecEngine::Log);
-        });
-        with_var("RNUMA_PIPELINE", Some("1"), || {
-            assert_eq!(engine_from_env(), ExecEngine::Pipeline);
-        });
-        with_var("RNUMA_PIPELINE", Some("0"), || {
-            assert_eq!(engine_from_env(), ExecEngine::Barrier);
-        });
-    });
-    for (spelling, engine) in [
-        ("log", ExecEngine::Log),
-        ("pipeline", ExecEngine::Pipeline),
-        ("pipelined", ExecEngine::Pipeline),
-        ("barrier", ExecEngine::Barrier),
-    ] {
-        with_var("RNUMA_EXEC", Some(spelling), || {
-            assert_eq!(exec_from_env(), Some(engine));
-            assert_eq!(engine_from_env(), engine);
-            let sm = ShardedMachine::new(config, 2).expect("valid config");
-            assert_eq!(sm.engine(), engine);
-        });
-    }
-    with_var("RNUMA_EXEC", Some("barrier"), || {
-        with_var("RNUMA_PIPELINE", Some("1"), || {
-            assert_eq!(
-                engine_from_env(),
-                ExecEngine::Barrier,
-                "RNUMA_EXEC beats the legacy switch"
-            );
-        });
-    });
-    with_var("RNUMA_EXEC", Some("sideways"), || {
-        assert_eq!(exec_from_env(), None, "garbage warns and selects nothing");
-    });
-
     // RNUMA_JOBS follows the same warn-once misconfiguration contract
     // as the other numeric knobs (the shared env_usize helper): unset
     // means the host's parallelism, a valid count sticks (clamped to
@@ -157,29 +89,6 @@ fn rnuma_shards_routing() {
     });
     with_jobs(Some("banana"), || {
         assert_eq!(parallel_workers(8), host.clamp(1, 8));
-    });
-
-    // RNUMA_DIR_SHARDS banks the footprint directory: unset means the
-    // default bank count, valid values stick (clamped to the maximum),
-    // and zero or garbage warn once and fall back to the default.
-    with_var("RNUMA_DIR_SHARDS", None, || {
-        assert_eq!(dir_shards_from_env(), None);
-        let sm = ShardedMachine::new(config, 2).expect("valid config");
-        assert_eq!(sm.dir_shards(), DEFAULT_DIR_SHARDS);
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("3"), || {
-        assert_eq!(dir_shards_from_env(), Some(3));
-        let sm = ShardedMachine::new(config, 2).expect("valid config");
-        assert_eq!(sm.dir_shards(), 3);
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("100000"), || {
-        assert_eq!(dir_shards_from_env(), Some(MAX_DIR_SHARDS));
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("0"), || {
-        assert_eq!(dir_shards_from_env(), None);
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("banana"), || {
-        assert_eq!(dir_shards_from_env(), None);
     });
 
     // The trace-once/replay-many sweep driver honors the same

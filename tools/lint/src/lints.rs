@@ -34,8 +34,10 @@ const SIM_CRATES: &[&str] = &["core", "proto", "mem", "net", "os", "sim", "workl
 const BLESSED_ENV_FILE: &str = "crates/core/src/experiment.rs";
 
 /// Functions in `shard.rs` forming the pool dispatch/recovery region
-/// where PR 6's typed-`PoolError` contract bans `.unwrap()`/`.expect(`
-/// (R01). Closures inherit their enclosing named function.
+/// where the typed-`PoolError` contract bans `.unwrap()`/`.expect(`
+/// (R01). Closures inherit their enclosing named function. A whole-tree
+/// scan reports every entry `shard.rs` no longer defines, so the list
+/// cannot go stale silently.
 const SHARD_RECOVERY_FNS: &[&str] = &[
     "worker_loop",
     "submit",
@@ -45,9 +47,6 @@ const SHARD_RECOVERY_FNS: &[&str] = &[
     "run_trace",
     "run_segments",
     "run_ops",
-    "run_ops_log",
-    "run_ops_windowed",
-    "exec_span",
     "exec_window",
     "dispatch_shard",
     "collect_pending",
@@ -124,6 +123,9 @@ pub fn analyze(files: &[(String, String)], readme: Option<&str>) -> Analysis {
         lint_d02(&fs, &mut findings);
         lint_d03(&fs, &mut findings);
         lint_r01(&fs, &mut findings);
+        if readme.is_some() {
+            lint_r01_list(&fs, &mut findings);
+        }
         lint_p01_file(&fs, &mut findings, &mut apply_op_sites);
         collect_env_literals(&fs, &mut env_literals);
         if rel == "crates/core/src/machine.rs" {
@@ -373,6 +375,35 @@ fn lint_r01(fs: &FileScan, findings: &mut Vec<Finding>) {
             }
         }
     });
+}
+
+/// R01 (whole-tree half): every function [`SHARD_RECOVERY_FNS`] names
+/// must still be defined (outside tests) in `shard.rs`; a deleted or
+/// renamed one would otherwise leave its list entry guarding nothing.
+fn lint_r01_list(fs: &FileScan, findings: &mut Vec<Finding>) {
+    if fs.rel != "crates/core/src/shard.rs" {
+        return;
+    }
+    for name in SHARD_RECOVERY_FNS {
+        let defined = fs.toks.windows(2).any(|w| {
+            w[0].kind == Kind::Ident
+                && w[0].text == "fn"
+                && w[1].kind == Kind::Ident
+                && w[1].text == *name
+                && !fs.in_test(w[1].line)
+        });
+        if !defined {
+            findings.push(Finding {
+                id: "R01".into(),
+                file: fs.rel.clone(),
+                line: 1,
+                msg: format!(
+                    "R01 lists `{name}` as a dispatch/recovery function, but shard.rs no \
+                     longer defines it; update SHARD_RECOVERY_FNS in tools/lint/src/lints.rs"
+                ),
+            });
+        }
+    }
 }
 
 /// P01 (per-file half): in `machine.rs`, the retired per-op entry
@@ -667,7 +698,7 @@ mod tests {
     fn d03_fires_on_raw_env_reads_outside_experiment() {
         let a = one(
             "crates/core/src/other.rs",
-            r#"fn f() { let v = std::env::var("RNUMA_SHARDS"); let w = std::env::var_os("RNUMA_EXEC"); }"#,
+            r#"fn f() { let v = std::env::var("RNUMA_SHARDS"); let w = std::env::var_os("RNUMA_JOBS"); }"#,
         );
         assert_eq!(ids(&a), ["D03", "D03"]);
     }
@@ -714,6 +745,30 @@ mod tests {
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         let other = one("crates/core/src/trace.rs", "fn submit() { x().unwrap(); }");
         assert!(other.findings.is_empty());
+    }
+
+    #[test]
+    fn r01_whole_tree_scan_reports_listed_fns_missing_from_shard_rs() {
+        // Every listed function defined except `exec_window`, which
+        // only a test module still mentions.
+        let mut src: String = SHARD_RECOVERY_FNS
+            .iter()
+            .filter(|&&f| f != "exec_window")
+            .map(|f| format!("fn {f}() {{}}\n"))
+            .collect();
+        src.push_str("#[cfg(test)]\nmod tests { fn exec_window() {} }\n");
+        let a = analyze(
+            &[("crates/core/src/shard.rs".into(), src.clone())],
+            Some(""),
+        );
+        assert_eq!(ids(&a), ["R01"], "{:?}", a.findings);
+        assert!(a.findings[0].msg.contains("`exec_window`"));
+        // A partial scan leaves whole-tree checks off.
+        assert!(one("crates/core/src/shard.rs", &src).findings.is_empty());
+        // With the function back, the whole-tree scan is clean.
+        src.push_str("fn exec_window() {}\n");
+        let a = analyze(&[("crates/core/src/shard.rs".into(), src)], Some(""));
+        assert!(a.findings.is_empty(), "{:?}", a.findings);
     }
 
     // ---- P01 ---------------------------------------------------

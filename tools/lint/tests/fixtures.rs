@@ -109,6 +109,16 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
     ] {
         assert!(text.contains(needle), "missing {why} ({needle}):\n{text}");
     }
+    // Both R01 halves fire on that one-line shard.rs: the unwrap, and
+    // the listed recovery functions the file does not define.
+    assert!(
+        text.contains(".unwrap() in pool dispatch/recovery path `recover_window`"),
+        "{text}"
+    );
+    assert!(
+        text.contains("lists `worker_loop`") && !text.contains("lists `recover_window`"),
+        "{text}"
+    );
 
     // JSON mode reports the same findings machine-readably.
     let (ok, json) = run(&root, &["--format", "json"]);
@@ -134,10 +144,15 @@ fn clean_tree_with_reasoned_escape_exits_zero_and_prints_the_inventory() {
         "crates/core/src/machine.rs",
         "impl Machine { pub(crate) fn apply_op(&mut self, op: &TraceOp) {} }\n",
     );
+    // (shard.rs also defines every function R01's region list names.)
     put(
         &root,
         "crates/core/src/shard.rs",
-        "impl ShardedMachine { fn exec_blocking(&mut self, op: &TraceOp) { self.machine.apply_op(op); } }\n",
+        "impl ShardedMachine { fn exec_blocking(&mut self, op: &TraceOp) { self.machine.apply_op(op); } }\n\
+         fn worker_loop() {} fn submit() {} fn spawn_worker() {} fn respawn_worker() {}\n\
+         fn poison() {} fn run_trace() {} fn run_segments() {} fn run_ops() {}\n\
+         fn exec_window() {} fn dispatch_shard() {} fn collect_pending() {}\n\
+         fn apply_effects() {} fn recover_window() {} fn fold_shard_metrics() {}\n",
     );
     // …the blessed env helper for D03…
     put(

@@ -1,6 +1,7 @@
 //! Experiment harness for the R-NUMA reproduction.
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5):
+//! One binary per table/figure of the paper (see `RESULTS.md` for the
+//! regenerated numbers):
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -24,10 +25,10 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{
-    parallel_map, run, run_parallel, run_replayed, run_traced_env_checked, RunReport, SweepAbort,
-    TraceStore,
+    parallel_map, run, run_parallel, run_replayed_journaled, run_traced_env_checked, RunReport,
+    SweepAbort, TraceStore,
 };
-use rnuma::journal::{cell_key, Journal};
+use rnuma::journal::Journal;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -53,18 +54,6 @@ pub fn parse_scale(args: &[String]) -> Scale {
     }
 }
 
-/// Returns the canonical results directory — `results/` at the
-/// *workspace root* — creating it if needed. `RNUMA_RESULTS_DIR`
-/// overrides it (resolved relative to the process working directory
-/// when not absolute).
-///
-/// Anchoring to the workspace root rather than the working directory
-/// matters: bench lanes and figure binaries are launched from both the
-/// root and the crate directory, and a CWD-relative `results/` used to
-/// scatter drifting copies of `BENCH_hotpath.json`/`BENCH_sweep.json`
-/// under `crates/bench/results/`. Every emitter goes through here, so
-/// there is exactly one output directory now.
-///
 /// Exits with status 1 after one line of diagnostic on stderr — how
 /// the figure binaries report emitter I/O failures (a full panic
 /// backtrace buries the actionable line: which path failed and why).
@@ -73,23 +62,24 @@ fn die(context: &str, err: &std::io::Error) -> ! {
     std::process::exit(1);
 }
 
+/// Returns the canonical results directory
+/// ([`rnuma::experiment::results_path`]: `results/` at the *workspace
+/// root*, or `RNUMA_RESULTS_DIR`), creating it if needed.
+///
+/// Anchoring to the workspace root rather than the working directory
+/// matters: bench lanes and figure binaries are launched from both the
+/// root and the crate directory, and a CWD-relative `results/` used to
+/// scatter drifting copies of `BENCH_hotpath.json`/`BENCH_sweep.json`
+/// into a second `results/` inside the bench crate. Every emitter goes
+/// through here, so there is exactly one output directory now.
+///
 /// # Exits
 ///
 /// Exits the process with status 1 (one-line diagnostic on stderr) if
 /// the directory cannot be created.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    let dir = rnuma::experiment::env_raw("RNUMA_RESULTS_DIR").map_or_else(
-        || {
-            // crates/bench -> crates -> workspace root.
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("bench crate lives two levels below the workspace root")
-                .join("results")
-        },
-        PathBuf::from,
-    );
+    let dir = rnuma::experiment::results_path();
     if let Err(err) = std::fs::create_dir_all(&dir) {
         die(
             &format!("cannot create results directory {}", dir.display()),
@@ -111,39 +101,6 @@ pub fn save(name: &str, content: &str) {
         die(&format!("cannot write {}", path.display()), &err);
     }
     println!("[saved {}]", path.display());
-}
-
-/// Resolves `RNUMA_JOURNAL` the bench way: the literal value `1` means
-/// "the canonical sweep journal", `results/sweep_journal.jsonl` under
-/// [`results_dir`]; any other non-empty value is used as a path
-/// directly (the core semantics, [`Journal::from_env`]). Unset or
-/// empty means no journal. An unopenable journal warns once on stderr
-/// and disables checkpointing — a sweep must never fail because its
-/// crash-recovery aid did.
-#[must_use]
-pub fn sweep_journal_from_env() -> Option<Journal> {
-    let val = rnuma::experiment::env_raw("RNUMA_JOURNAL")?;
-    if val.is_empty() {
-        return None;
-    }
-    let path = if val == "1" {
-        results_dir().join("sweep_journal.jsonl")
-    } else {
-        PathBuf::from(val)
-    };
-    match Journal::open(&path) {
-        Ok(journal) => Some(journal),
-        Err(err) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "RNUMA_JOURNAL: cannot open {} ({err}); checkpointing disabled",
-                    path.display()
-                );
-            });
-            None
-        }
-    }
 }
 
 /// Runs one `(application, protocol)` pair at `scale`.
@@ -247,7 +204,8 @@ pub fn run_grid(
 /// Returns the same row shape as [`run_grid`]. The difference in
 /// *meaning*: every cell of a row simulates the **same** reference
 /// stream (the fixed-trace methodology), and each cell is bit-identical
-/// to a serial `Machine::replay` of that stream on its configuration —
+/// to a serial [`TraceStore::replay_serial`] of that stream on its
+/// configuration —
 /// enforced across the whole figure grid by
 /// `tests/replay_determinism.rs`. See `docs/SWEEP.md`.
 ///
@@ -309,32 +267,15 @@ pub fn sweep_grid(
     }
     // Phase 3: replay every remaining (application, configuration) cell.
     // With `RNUMA_JOURNAL` set, completed cells checkpoint into the
-    // sweep journal keyed by (workload, stream content hash, config):
-    // cells already journaled restore without re-simulation, so a
-    // sweep killed mid-run resumes where it died and finishes
-    // bit-identical to a clean one (see docs/ROBUSTNESS.md).
-    let journal = sweep_journal_from_env();
+    // sweep journal, so a sweep killed mid-run resumes where it died
+    // and finishes bit-identical to a clean one (see docs/ROBUSTNESS.md).
+    let journal = Journal::from_env();
     let abort = SweepAbort::from_env();
-    let hashes: Vec<u64> = ids.iter().map(|&id| store.content_hash(id)).collect();
     let cells: Vec<(usize, usize)> = (0..apps.len())
         .flat_map(|a| (1..configs.len()).map(move |c| (a, c)))
         .collect();
     let replays = parallel_map(&cells, |&(a, c)| {
-        let key = cell_key(store.workload(ids[a]), hashes[a], &configs[c]);
-        if let Some(metrics) = journal.as_ref().and_then(|j| j.lookup(key)) {
-            return RunReport {
-                workload: store.workload(ids[a]),
-                protocol: configs[c].protocol.label(),
-                config: configs[c],
-                metrics: metrics.clone(),
-            };
-        }
-        let report = run_replayed(&store, ids[a], configs[c]);
-        if let Some(journal) = journal.as_ref() {
-            journal.record(key, report.workload, report.protocol, &report.metrics);
-        }
-        abort.after_cell();
-        report
+        run_replayed_journaled(&store, ids[a], configs[c], journal.as_ref(), &abort)
     });
     for (&(a, _), report) in cells.iter().zip(replays) {
         rows[a].push(report);

@@ -24,12 +24,14 @@
 //! configuration in a grid. Re-executing the workload per cell re-pays
 //! its generation cost (item scheduling, address arithmetic, setup
 //! RNG) once per configuration; the sweep driver instead captures the
-//! workload's [`TraceOp`] stream **once** — into a [`TraceStore`], a
-//! columnar, delta-encoded, profile-interned store with streaming
-//! (bounded-memory) capture and optional spill-to-disk — and replays
-//! it against every other configuration ([`run_replayed`] per cell,
-//! [`run_sweep`] for a whole config axis). Replay is bit-identical to
-//! a serial batched
+//! workload's [`TraceOp`] stream **once** ([`run_traced`]) and interns
+//! it into a [`TraceStore`], a columnar, delta-encoded,
+//! profile-interned store — and replays it against every other
+//! configuration ([`run_replayed`] per cell, [`run_sweep`] for a whole
+//! config axis). Both sweep drivers ([`run_sweep_journaled`] and
+//! `rnuma_bench::sweep_grid`) run every replay cell through one
+//! checkpointed step, [`run_replayed_journaled`]. Replay is
+//! bit-identical to a serial batched
 //! [`Machine::apply_batch`] of the same stream in every execution mode
 //! (`RNUMA_SHARDS` turns each cell into a pool-backed self-check), and
 //! the sweep's reference stream is *fixed across cells* — the classic
@@ -42,12 +44,11 @@ use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Workload};
 use crate::shard::{shards_from_env, CpuRun, ShardPool, ShardedMachine, TraceOp};
-use crate::trace::{
-    decode_segment, encode_segment, spill_dir_from_env, CpuRefs, ProfileArena, SegMeta, SEG_OPS,
-};
+use crate::trace::{decode_segment, encode_segment, CpuRefs, ProfileArena, SegMeta, SEG_OPS};
 use rnuma_sim::fault::{FaultKind, FaultLog, FaultPlan};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 
 /// The result of one (configuration, workload) simulation.
 #[derive(Clone, Debug)]
@@ -302,7 +303,7 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 ///
 /// This is the blessed escape hatch companion to [`env_usize`] for
 /// knobs whose values are names, paths, or switch words
-/// (`RNUMA_TRACE_SPILL`, `RNUMA_JOURNAL`, …). Call sites
+/// (`RNUMA_JOURNAL`, `RNUMA_RESULTS_DIR`, …). Call sites
 /// still own their documented warn-once misconfiguration semantics —
 /// what this helper centralizes is the *access point*: `rnuma-lint`'s
 /// D03 lint rejects raw `std::env::var("RNUMA_…")` reads anywhere
@@ -311,6 +312,24 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 #[must_use]
 pub fn env_raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
+}
+
+/// The canonical results directory: `RNUMA_RESULTS_DIR` when set
+/// (relative to the process working directory when not absolute),
+/// otherwise `results/` at the workspace root. Not created here.
+#[must_use]
+pub fn results_path() -> PathBuf {
+    env_raw("RNUMA_RESULTS_DIR").map_or_else(
+        || {
+            // crates/core -> crates -> workspace root.
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .ancestors()
+                .nth(2)
+                .expect("core crate lives two levels below the workspace root")
+                .join("results")
+        },
+        PathBuf::from,
+    )
 }
 
 /// One stderr warning per misconfigured variable per process. A
@@ -439,113 +458,6 @@ struct TraceRec {
     ops: u64,
 }
 
-/// The encodable innards of a [`TraceStore`]: the profile arena, run
-/// and segment tables, and the capture-time state (interning flag,
-/// fault plan). Split out so a streaming capture can move it behind an
-/// `Arc<Mutex<_>>` shared with the machine's trace sink and take it
-/// back afterwards.
-#[derive(Debug)]
-struct StoreCore {
-    profiles: ProfileArena,
-    /// The varint-coded run streams of every segment, concatenated
-    /// (each [`SegMeta`] owns a byte range).
-    runs: Vec<u8>,
-    segs: Vec<SegMeta>,
-    interning: bool,
-    captured_ops: u64,
-    /// Deterministic fault plan for capture-time allocation pressure
-    /// (`RNUMA_FAULTS`, `pressure` kind); `None` when faults are off.
-    fault_plan: Option<FaultPlan>,
-    /// Injected faults this store absorbed.
-    fault_log: FaultLog,
-    /// Reusable encode scratch (one run's blob).
-    blob_scratch: Vec<u8>,
-    /// Reusable spilled-read scratch for dedup verification.
-    read_scratch: Vec<u8>,
-    /// Reusable per-CPU base references for encoding.
-    refs_scratch: CpuRefs,
-}
-
-impl Default for StoreCore {
-    /// A cheap placeholder (no env reads, no spill file) for
-    /// `std::mem::take` during streaming capture.
-    fn default() -> StoreCore {
-        StoreCore {
-            profiles: ProfileArena::new(None),
-            runs: Vec::new(),
-            segs: Vec::new(),
-            interning: true,
-            captured_ops: 0,
-            fault_plan: None,
-            fault_log: FaultLog::new(),
-            blob_scratch: Vec::new(),
-            read_scratch: Vec::new(),
-            refs_scratch: CpuRefs::default(),
-        }
-    }
-}
-
-impl StoreCore {
-    fn new(spill: Option<&std::path::Path>) -> StoreCore {
-        StoreCore {
-            profiles: ProfileArena::new(spill),
-            fault_plan: FaultPlan::from_env(),
-            ..StoreCore::default()
-        }
-    }
-
-    /// Encodes one segment of captured ops into the store. This is the
-    /// streaming-capture sink: it holds no reference to the chunk after
-    /// returning, so capture memory stays bounded by one chunk plus the
-    /// encoded tables.
-    fn push_segment(&mut self, chunk: &[TraceOp]) {
-        if chunk.is_empty() {
-            return;
-        }
-        if self.interning {
-            if let Some(plan) = self.fault_plan.as_mut() {
-                if plan.should_fire(FaultKind::CapturePressure) {
-                    // Simulated allocation pressure: the dedup table
-                    // "fails to grow", so the store degrades to verbatim
-                    // profile storage from here on. Replay results are
-                    // identical either way — interning only affects
-                    // memory residency — so the sweep keeps its
-                    // bit-identical contract under this fault.
-                    self.interning = false;
-                    self.profiles.drop_dedup();
-                    let index = self.segs.len() as u64;
-                    self.fault_log.record(
-                        FaultKind::CapturePressure,
-                        index,
-                        "dedup table allocation failed; interning disabled".to_string(),
-                    );
-                }
-            }
-        }
-        let meta = encode_segment(
-            chunk,
-            seg_hash(chunk),
-            &mut self.profiles,
-            &mut self.runs,
-            self.interning,
-            &mut self.blob_scratch,
-            &mut self.read_scratch,
-            &mut self.refs_scratch,
-        );
-        self.segs.push(meta);
-        self.captured_ops += chunk.len() as u64;
-    }
-
-    /// Encoded size of the store: profile bytes (resident or spilled)
-    /// plus the run streams and the segment/span tables.
-    fn encoded_bytes(&self) -> u64 {
-        self.profiles.stored_bytes()
-            + self.profiles.table_bytes()
-            + self.runs.len() as u64
-            + (self.segs.len() * std::mem::size_of::<SegMeta>()) as u64
-    }
-}
-
 /// A columnar, delta-encoded store of captured [`TraceOp`] streams —
 /// the "capture once" half of trace-once/replay-many sweeps.
 ///
@@ -557,10 +469,9 @@ impl StoreCore {
 /// address pattern share one blob regardless of base address — so
 /// every CPU walking its partition with a common stride dedups, and
 /// [`TraceStore::interning_ratio`] drops well below 1.0 on real
-/// workloads. Capture is *streaming*: the workload's ops are encoded
-/// in fixed-size chunks as they are produced, never materializing the
-/// flat op array, and profile bytes optionally spill to a temp file
-/// (`RNUMA_TRACE_SPILL`). Replay decodes segment by segment into a
+/// workloads. A stream enters the store as a flat op array
+/// ([`run_traced`], then [`TraceStore::insert`]), encoded in
+/// segment-sized chunks. Replay decodes segment by segment into a
 /// bounded scratch ([`TraceStore::for_each_batch`]) feeding
 /// [`Machine::replay_segment`] / [`ShardedMachine::run_trace`];
 /// `tests/trace_codec.rs` pins the encoded replay bit-identical to
@@ -596,8 +507,23 @@ impl StoreCore {
 /// ```
 #[derive(Debug)]
 pub struct TraceStore {
-    core: StoreCore,
+    profiles: ProfileArena,
+    /// The varint-coded run streams of every segment, concatenated
+    /// (each [`SegMeta`] owns a byte range).
+    runs: Vec<u8>,
+    segs: Vec<SegMeta>,
     traces: Vec<TraceRec>,
+    interning: bool,
+    captured_ops: u64,
+    /// Deterministic fault plan for capture-time allocation pressure
+    /// (`RNUMA_FAULTS`, `pressure` kind); `None` when faults are off.
+    fault_plan: Option<FaultPlan>,
+    /// Injected faults this store absorbed.
+    fault_log: FaultLog,
+    /// Reusable encode scratch (one run's blob).
+    blob_scratch: Vec<u8>,
+    /// Reusable per-CPU base references for encoding.
+    refs_scratch: CpuRefs,
 }
 
 impl Default for TraceStore {
@@ -607,45 +533,34 @@ impl Default for TraceStore {
 }
 
 impl TraceStore {
-    /// An empty store with profile interning enabled and spill behavior
-    /// taken from `RNUMA_TRACE_SPILL` (unset: profiles stay resident).
+    /// An empty store with profile interning enabled.
     #[must_use]
     pub fn new() -> TraceStore {
         TraceStore {
-            core: StoreCore::new(spill_dir_from_env().as_deref()),
+            profiles: ProfileArena::default(),
+            runs: Vec::new(),
+            segs: Vec::new(),
             traces: Vec::new(),
+            interning: true,
+            captured_ops: 0,
+            fault_plan: FaultPlan::from_env(),
+            fault_log: FaultLog::new(),
+            blob_scratch: Vec::new(),
+            refs_scratch: CpuRefs::default(),
         }
-    }
-
-    /// An empty store spilling profile bytes to a file under `dir`
-    /// regardless of `RNUMA_TRACE_SPILL` (tests and tools; degrades to
-    /// resident storage, with a warning, when `dir` is unusable).
-    #[must_use]
-    pub fn spilled_to(dir: &std::path::Path) -> TraceStore {
-        TraceStore {
-            core: StoreCore::new(Some(dir)),
-            traces: Vec::new(),
-        }
-    }
-
-    /// The spill file backing this store's profile bytes, if any
-    /// (tests truncate it to drill the torn-file diagnostics).
-    #[must_use]
-    pub fn spill_path(&self) -> Option<&std::path::Path> {
-        self.core.profiles.spill_path()
     }
 
     /// Overrides the capture-pressure fault plan (tests; `new` reads
     /// `RNUMA_FAULTS`). `None` disables injection.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.core.fault_plan = plan;
+        self.fault_plan = plan;
     }
 
     /// Injected faults this store absorbed (capture-time allocation
     /// pressure downgrading interning to verbatim storage).
     #[must_use]
     pub fn fault_log(&self) -> &FaultLog {
-        &self.core.fault_log
+        &self.fault_log
     }
 
     /// An empty store that stores every run's profile verbatim (no
@@ -654,17 +569,14 @@ impl TraceStore {
     #[must_use]
     pub fn raw() -> TraceStore {
         let mut store = TraceStore::new();
-        store.core.interning = false;
-        store.core.profiles.drop_dedup();
+        store.interning = false;
         store
     }
 
-    /// Runs `workload` on `config` — exactly like [`run`] — while
-    /// *streaming* its operation stream into the store: ops are encoded
-    /// in segment-sized (`SEG_OPS`) chunks as the machine produces them, so
-    /// capture memory is bounded by one chunk plus the encoded tables —
-    /// the flat op array is never materialized. Returns the stream's id
-    /// and the capture run's report.
+    /// Runs `workload` on `config` — exactly like [`run`] — recording
+    /// its operation stream ([`run_traced_env_checked`]) and storing it
+    /// ([`TraceStore::insert`]). Returns the stream's id and the capture
+    /// run's report.
     ///
     /// When `RNUMA_SHARDS` requests more than one shard, the captured
     /// stream is additionally replayed on the pool-backed sharded
@@ -679,45 +591,8 @@ impl TraceStore {
         config: MachineConfig,
         workload: &mut W,
     ) -> (TraceId, RunReport) {
-        let seg_start = u32::try_from(self.core.segs.len()).expect("segment count overflow");
-        let captured_before = self.core.captured_ops;
-        // The machine's trace sink must own its half of the store: the
-        // encodable core moves behind a shared handle for the duration
-        // of the run and is taken back once the machine (and with it
-        // the sink closure) is dropped.
-        let shared = Arc::new(Mutex::new(std::mem::take(&mut self.core)));
-        let sink = Arc::clone(&shared);
-        let mut machine = Machine::new(config).expect("experiment configs must be valid");
-        machine.start_streaming_trace(
-            SEG_OPS,
-            Box::new(move |ops| {
-                sink.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push_segment(ops);
-            }),
-        );
-        {
-            let mut runner = Runner::new(&mut machine);
-            workload.run(&mut runner);
-        }
-        machine.finish_streaming_trace();
-        let report = RunReport {
-            workload: workload.name(),
-            protocol: config.protocol.label(),
-            config,
-            metrics: machine.metrics(),
-        };
-        drop(machine);
-        self.core = Arc::try_unwrap(shared)
-            .expect("capture sink outlived its machine")
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let captured = self.core.captured_ops - captured_before;
-        let id = self.push_trace(report.workload, config, seg_start, captured);
-        if let Some(shards) = shards_from_env().filter(|&s| s > 1) {
-            check_sharded_replay(&report, config, shards, |sm| self.replay_sharded(id, sm));
-        }
-        (id, report)
+        let (report, trace) = run_traced_env_checked(config, workload);
+        (self.insert(report.workload, config, &trace), report)
     }
 
     /// Stores one already-materialized stream (segmenting, encoding,
@@ -728,30 +603,55 @@ impl TraceStore {
         config: MachineConfig,
         ops: &[TraceOp],
     ) -> TraceId {
-        let seg_start = u32::try_from(self.core.segs.len()).expect("segment count overflow");
+        let seg_start = u32::try_from(self.segs.len()).expect("segment count overflow");
         for chunk in ops.chunks(SEG_OPS) {
-            self.core.push_segment(chunk);
+            self.push_segment(chunk);
         }
-        self.push_trace(workload, config, seg_start, ops.len() as u64)
-    }
-
-    fn push_trace(
-        &mut self,
-        workload: &'static str,
-        config: MachineConfig,
-        seg_start: u32,
-        ops: u64,
-    ) -> TraceId {
-        let seg_end = u32::try_from(self.core.segs.len()).expect("segment count overflow");
+        let seg_end = u32::try_from(self.segs.len()).expect("segment count overflow");
         let id = TraceId(u32::try_from(self.traces.len()).expect("trace count overflow"));
         self.traces.push(TraceRec {
             workload,
             config,
             seg_start,
             seg_end,
-            ops,
+            ops: ops.len() as u64,
         });
         id
+    }
+
+    /// Encodes one segment of ops into the store.
+    fn push_segment(&mut self, chunk: &[TraceOp]) {
+        if self.interning {
+            if let Some(plan) = self.fault_plan.as_mut() {
+                if plan.should_fire(FaultKind::CapturePressure) {
+                    // Simulated allocation pressure: the dedup table
+                    // "fails to grow", so the store degrades to verbatim
+                    // profile storage from here on. Replay results are
+                    // identical either way — interning only affects
+                    // memory residency — so the sweep keeps its
+                    // bit-identical contract under this fault.
+                    self.interning = false;
+                    self.profiles.drop_dedup();
+                    let index = self.segs.len() as u64;
+                    self.fault_log.record(
+                        FaultKind::CapturePressure,
+                        index,
+                        "dedup table allocation failed; interning disabled".to_string(),
+                    );
+                }
+            }
+        }
+        let meta = encode_segment(
+            chunk,
+            seg_hash(chunk),
+            &mut self.profiles,
+            &mut self.runs,
+            self.interning,
+            &mut self.blob_scratch,
+            &mut self.refs_scratch,
+        );
+        self.segs.push(meta);
+        self.captured_ops += chunk.len() as u64;
     }
 
     fn rec(&self, id: TraceId) -> &TraceRec {
@@ -768,16 +668,14 @@ impl TraceStore {
         let rec = self.rec(id);
         let mut ops = Vec::with_capacity(SEG_OPS);
         let mut runs = Vec::new();
-        let mut scratch = Vec::new();
         let mut refs = CpuRefs::default();
         for seg in rec.seg_start..rec.seg_end {
             decode_segment(
-                self.core.segs[seg as usize],
-                &self.core.profiles,
-                &self.core.runs,
+                self.segs[seg as usize],
+                &self.profiles,
+                &self.runs,
                 &mut ops,
                 &mut runs,
-                &mut scratch,
                 &mut refs,
             );
             f(&ops, &runs);
@@ -828,36 +726,24 @@ impl TraceStore {
     /// Total ops captured across all streams.
     #[must_use]
     pub fn captured_ops(&self) -> u64 {
-        self.core.captured_ops
+        self.captured_ops
     }
 
     /// Bytes the captured streams would occupy as flat `TraceOp` arrays
     /// — the storage format this store's encoding replaces.
     #[must_use]
     pub fn flat_bytes(&self) -> u64 {
-        self.core.captured_ops * std::mem::size_of::<TraceOp>() as u64
+        self.captured_ops * std::mem::size_of::<TraceOp>() as u64
     }
 
-    /// Bytes the encoded store occupies: profile bytes (resident or
-    /// spilled) plus the run, segment, and profile-span tables.
+    /// Bytes the encoded store occupies: profile bytes plus the run,
+    /// segment, and profile-span tables.
     #[must_use]
     pub fn encoded_bytes(&self) -> u64 {
-        self.core.encoded_bytes()
-    }
-
-    /// Encoded bytes actually resident in memory — [`encoded_bytes`]
-    /// minus profile bytes living in the spill file.
-    ///
-    /// [`encoded_bytes`]: TraceStore::encoded_bytes
-    #[must_use]
-    pub fn resident_bytes(&self) -> u64 {
-        self.core.encoded_bytes() - self.core.profiles.spilled_bytes()
-    }
-
-    /// Profile bytes living in the spill file (0 unless spilling).
-    #[must_use]
-    pub fn spilled_bytes(&self) -> u64 {
-        self.core.profiles.spilled_bytes()
+        self.profiles.stored_bytes()
+            + self.profiles.table_bytes()
+            + self.runs.len() as u64
+            + (self.segs.len() * std::mem::size_of::<SegMeta>()) as u64
     }
 
     /// Stored over referenced profile bytes: 1.0 when every run's
@@ -866,11 +752,11 @@ impl TraceStore {
     /// pattern references one stored profile.
     #[must_use]
     pub fn interning_ratio(&self) -> f64 {
-        let referenced = self.core.profiles.referenced_bytes();
+        let referenced = self.profiles.referenced_bytes();
         if referenced == 0 {
             return 1.0;
         }
-        self.core.profiles.stored_bytes() as f64 / referenced as f64
+        self.profiles.stored_bytes() as f64 / referenced as f64
     }
 
     /// Flat over encoded bytes — the compression the columnar encoding
@@ -901,7 +787,7 @@ impl TraceStore {
         let rec = self.rec(id);
         let mut h = 0x6a09_e667_f3bc_c908u64 ^ rec.ops;
         for seg in rec.seg_start..rec.seg_end {
-            h = (h ^ self.core.segs[seg as usize].hash)
+            h = (h ^ self.segs[seg as usize].hash)
                 .wrapping_mul(MIX)
                 .rotate_left(23);
         }
@@ -1149,26 +1035,48 @@ pub fn run_sweep_journaled<W: Workload + ?Sized>(
     assert!(!configs.is_empty(), "need at least one configuration");
     let mut store = TraceStore::new();
     let (id, first) = store.capture(configs[0], workload);
-    let trace_hash = store.content_hash(id);
     let mut reports = vec![first];
     reports.extend(parallel_map(&configs[1..], |&config| {
-        let key = cell_key(store.workload(id), trace_hash, &config);
-        if let Some(metrics) = journal.and_then(|j| j.lookup(key)) {
-            return RunReport {
-                workload: store.workload(id),
-                protocol: config.protocol.label(),
-                config,
-                metrics: metrics.clone(),
-            };
-        }
-        let report = run_replayed(&store, id, config);
-        if let Some(journal) = journal {
-            journal.record(key, report.workload, report.protocol, &report.metrics);
-        }
-        abort.after_cell();
-        report
+        run_replayed_journaled(&store, id, config, journal, abort)
     }));
     reports
+}
+
+/// One checkpointed sweep cell — the step both sweep drivers
+/// ([`run_sweep_journaled`] and `rnuma_bench::sweep_grid`) run for
+/// every replay cell. The cell is keyed by (workload, stream content
+/// hash, configuration) ([`cell_key`]). A cell already in `journal` is
+/// restored without re-simulation; otherwise it is replayed
+/// ([`run_replayed`]), appended to `journal`, and followed by one
+/// `abort` decision.
+///
+/// # Panics
+///
+/// As [`run_replayed`] — or when `abort` fires.
+#[must_use]
+pub fn run_replayed_journaled(
+    store: &TraceStore,
+    id: TraceId,
+    config: MachineConfig,
+    journal: Option<&Journal>,
+    abort: &SweepAbort,
+) -> RunReport {
+    let workload = store.workload(id);
+    let keyed = journal.map(|j| (j, cell_key(workload, store.content_hash(id), &config)));
+    if let Some(metrics) = keyed.and_then(|(j, key)| j.lookup(key)) {
+        return RunReport {
+            workload,
+            protocol: config.protocol.label(),
+            config,
+            metrics: metrics.clone(),
+        };
+    }
+    let report = run_replayed(store, id, config);
+    if let Some((j, key)) = keyed {
+        j.record(key, workload, report.protocol, &report.metrics);
+    }
+    abort.after_cell();
+    report
 }
 
 fn normalize_to_first(reports: Vec<RunReport>) -> Vec<NormalizedReport> {
@@ -1350,9 +1258,6 @@ mod tests {
             store.flat_bytes(),
             store.encoded_bytes()
         );
-        // Without spilling, everything encoded is resident.
-        assert_eq!(store.spilled_bytes(), 0);
-        assert_eq!(store.resident_bytes(), store.encoded_bytes());
     }
 
     #[test]

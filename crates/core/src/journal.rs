@@ -16,13 +16,12 @@
 //! loses at most the line being written. Loading skips unparsable lines
 //! (a torn final write) instead of failing.
 //!
-//! Journals are opt-in via `RNUMA_JOURNAL`:
-//!
-//! * in the core driver ([`crate::experiment::run_sweep`]) the value is
-//!   the journal file path;
-//! * the bench driver (`rnuma_bench::sweep_grid`) additionally resolves
-//!   the value `1` to `sweep_journal.jsonl` in the canonical results
-//!   directory.
+//! Journals are opt-in via `RNUMA_JOURNAL`, resolved in one place
+//! ([`Journal::from_env`]) for both sweep drivers
+//! ([`crate::experiment::run_sweep`] and `rnuma_bench::sweep_grid`):
+//! the value `1` means `sweep_journal.jsonl` in the canonical results
+//! directory ([`crate::experiment::results_path`]); any other value is
+//! the journal file path.
 //!
 //! Capture cells (the baseline every replay derives its stream from)
 //! are *not* journaled: a resume must re-capture to regenerate the
@@ -106,22 +105,34 @@ impl Journal {
         })
     }
 
-    /// The journal configured by `RNUMA_JOURNAL` (the value is the
-    /// journal file path), if any. An unopenable journal warns on
-    /// stderr once per process and disables journaling — a sweep must
-    /// run (slower, un-resumable) rather than abort.
+    /// The journal configured by `RNUMA_JOURNAL`, if any: unset or
+    /// empty means none, `1` means `sweep_journal.jsonl` in the
+    /// canonical results directory
+    /// ([`results_path`](crate::experiment::results_path)), and any
+    /// other value is the journal file path. The journal's directory
+    /// is created if missing. An unopenable journal warns on stderr
+    /// once per process and disables journaling — a sweep must run
+    /// (slower, un-resumable) rather than abort.
     #[must_use]
     pub fn from_env() -> Option<Journal> {
-        let path = crate::experiment::env_raw("RNUMA_JOURNAL")?;
-        if path.trim().is_empty() {
-            return None;
-        }
-        match Journal::open(&path) {
+        let path = match crate::experiment::env_raw("RNUMA_JOURNAL")?.trim() {
+            "" => return None,
+            "1" => crate::experiment::results_path().join("sweep_journal.jsonl"),
+            path => PathBuf::from(path),
+        };
+        let opened = path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| Journal::open(&path));
+        match opened {
             Ok(j) => Some(j),
             Err(e) => {
                 static WARN: std::sync::Once = std::sync::Once::new();
                 WARN.call_once(|| {
-                    eprintln!("warning: cannot open RNUMA_JOURNAL={path}: {e}; journaling off");
+                    eprintln!(
+                        "warning: cannot open RNUMA_JOURNAL={}: {e}; journaling off",
+                        path.display()
+                    );
                 });
                 None
             }

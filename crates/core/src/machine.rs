@@ -139,43 +139,11 @@ pub struct Machine {
     /// Reusable eviction buffer for page flushes (no per-flush allocs).
     flush_scratch: Vec<BlockEviction>,
     metrics: Metrics,
-    /// When recording, every machine-level operation goes here so the
-    /// run can be replayed (serially or sharded) on a fresh machine.
-    tracing: Tracing,
-}
-
-/// A streaming-capture consumer: receives each flushed chunk of traced
-/// ops (see [`Machine::start_streaming_trace`]).
-pub type TraceSink = Box<dyn FnMut(&[TraceOp]) + Send>;
-
-/// How the machine records its operation stream, if at all.
-enum Tracing {
-    /// Not recording — the default, and the only hot-path mode.
-    Off,
-    /// Recording into an in-memory op vector ([`Machine::start_tracing`]).
-    Record(Vec<TraceOp>),
-    /// Streaming: ops accumulate in a bounded chunk buffer handed to
-    /// the sink every `cap` ops ([`Machine::start_streaming_trace`]),
-    /// so capture memory never scales with run length.
-    Stream {
-        buf: Vec<TraceOp>,
-        cap: usize,
-        sink: TraceSink,
-    },
-}
-
-impl std::fmt::Debug for Tracing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Tracing::Off => f.write_str("Off"),
-            Tracing::Record(ops) => f.debug_tuple("Record").field(&ops.len()).finish(),
-            Tracing::Stream { buf, cap, .. } => f
-                .debug_struct("Stream")
-                .field("buffered", &buf.len())
-                .field("cap", cap)
-                .finish_non_exhaustive(),
-        }
-    }
+    /// When recording ([`Machine::start_tracing`]), every machine-level
+    /// operation goes here so the run can be replayed (serially or
+    /// sharded) on a fresh machine. `None` — the default, and the only
+    /// hot-path mode — records nothing.
+    trace: Option<Vec<TraceOp>>,
 }
 
 impl Machine {
@@ -235,7 +203,7 @@ impl Machine {
             mru: vec![MruTranslation::INVALID; cfg.total_cpus() as usize],
             flush_scratch: Vec::new(),
             metrics: Metrics::default(),
-            tracing: Tracing::Off,
+            trace: None,
             nodes,
             cfg,
         })
@@ -262,67 +230,21 @@ impl Machine {
     ///
     /// Take the recording with [`Machine::take_trace`].
     pub fn start_tracing(&mut self) {
-        self.tracing = Tracing::Record(Vec::new());
+        self.trace = Some(Vec::new());
     }
 
     /// Stops recording and returns the operations recorded since
     /// [`Machine::start_tracing`] (empty if tracing was never started).
     #[must_use]
     pub fn take_trace(&mut self) -> Vec<TraceOp> {
-        match std::mem::replace(&mut self.tracing, Tracing::Off) {
-            Tracing::Record(ops) => ops,
-            _ => Vec::new(),
-        }
+        self.trace.take().unwrap_or_default()
     }
 
-    /// Starts *streaming* capture: every subsequent machine-level
-    /// operation is buffered and handed to `sink` in chunks of
-    /// `chunk_ops` ops, so capture memory stays bounded by one chunk
-    /// regardless of run length (the flat op array is never built).
-    /// End the capture — flushing the final partial chunk — with
-    /// [`Machine::finish_streaming_trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_ops` is zero.
-    pub fn start_streaming_trace(&mut self, chunk_ops: usize, sink: TraceSink) {
-        assert!(
-            chunk_ops > 0,
-            "streaming trace chunks must hold at least one op"
-        );
-        self.tracing = Tracing::Stream {
-            buf: Vec::with_capacity(chunk_ops),
-            cap: chunk_ops,
-            sink,
-        };
-    }
-
-    /// Ends a streaming capture, flushing the final partial chunk to
-    /// the sink and dropping it. No-op when not streaming.
-    pub fn finish_streaming_trace(&mut self) {
-        if let Tracing::Stream { buf, mut sink, .. } =
-            std::mem::replace(&mut self.tracing, Tracing::Off)
-        {
-            if !buf.is_empty() {
-                sink(&buf);
-            }
-        }
-    }
-
-    /// Appends one op to the active trace, flushing a full streaming
-    /// chunk to its sink. No-op when not tracing.
+    /// Appends one op to the active trace. No-op when not tracing.
     #[inline]
     fn trace_push(&mut self, op: TraceOp) {
-        match &mut self.tracing {
-            Tracing::Off => {}
-            Tracing::Record(ops) => ops.push(op),
-            Tracing::Stream { buf, cap, sink } => {
-                buf.push(op);
-                if buf.len() >= *cap {
-                    sink(buf);
-                    buf.clear();
-                }
-            }
+        if let Some(ops) = &mut self.trace {
+            ops.push(op);
         }
     }
 
@@ -367,8 +289,8 @@ impl Machine {
     /// the batched entry points below and the sharded executor's
     /// serial between-window leg (`ShardedMachine::exec_blocking`);
     /// everything else replays through [`Machine::apply_batch`] /
-    /// [`Machine::replay_segment`] (`tools/check_perop_guard.sh`
-    /// enforces this).
+    /// [`Machine::replay_segment`] (lint P01 of `tools/lint` enforces
+    /// this; see `docs/LINTS.md`).
     ///
     /// # Panics
     ///
@@ -407,7 +329,7 @@ impl Machine {
     ///
     /// Panics if an op references a CPU outside the machine.
     pub fn apply_batch(&mut self, ops: &[TraceOp]) {
-        if !matches!(self.tracing, Tracing::Off) {
+        if self.trace.is_some() {
             self.replay_per_op(ops);
             return;
         }
@@ -429,7 +351,7 @@ impl Machine {
     /// Panics if an op references a CPU outside the machine, or if
     /// `runs` does not tile `ops` exactly.
     pub fn replay_segment(&mut self, ops: &[TraceOp], runs: &[CpuRun]) {
-        if !matches!(self.tracing, Tracing::Off) {
+        if self.trace.is_some() {
             self.replay_per_op(ops);
             return;
         }

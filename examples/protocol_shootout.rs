@@ -5,7 +5,10 @@
 //! Uses the trace-once/replay-many sweep driver
 //! (`rnuma::experiment::run_sweep`): the application executes once, on
 //! the ideal baseline, and the captured reference stream replays
-//! against the three finite machines (see `docs/SWEEP.md`).
+//! against the three finite machines (see `docs/SWEEP.md`). With
+//! `RNUMA_JOURNAL=1` the replay cells checkpoint into
+//! `results/sweep_journal.jsonl`, exactly as the figure binaries' do,
+//! and a re-run restores them instead of re-simulating.
 //!
 //! Run with:
 //! `cargo run --release -p rnuma-bench --example protocol_shootout -- [app] [tiny|small|paper]`
@@ -41,6 +44,8 @@ fn main() {
     .map(MachineConfig::paper_base);
     let mut w = by_name(app, scale).expect("validated above");
     // One execution, three replays: every machine sees the same stream.
+    // Each replay cell runs through `run_replayed_journaled`, the step
+    // `sweep_grid` uses too.
     let reports = run_sweep(&configs, &mut w);
     let base = reports[0].cycles() as f64;
     for report in &reports {

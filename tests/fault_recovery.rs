@@ -193,59 +193,6 @@ fn capture_pressure_degrades_interning_not_results() {
     }
 }
 
-/// The spill-leak drill: `RNUMA_TRACE_SPILL` profile files must not
-/// outlive their store. An injected `abort@0` that unwinds past a
-/// spilling store drops the file on the way out; a process *killed*
-/// without unwinding leaves its file behind (simulated by a dead-pid
-/// spill planted in the directory), and the next spilling store reaps
-/// it at construction. Either way the directory ends clean.
-#[test]
-fn abort_drill_leaves_no_spill_file_behind() {
-    let dir = std::env::temp_dir().join(format!("rnuma-spill-drill-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    // A sweep killed mid-run (no unwind) leaks its pid-named spill
-    // file; pid 999999999 is far above any real pid_max, so this file
-    // is exactly what such a corpse leaves behind.
-    let stale = dir.join("rnuma-trace-spill-999999999-0.bin");
-    std::fs::write(&stale, b"leak").unwrap();
-
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::spilled_to(&dir);
-    assert!(
-        !stale.exists(),
-        "constructing a spilling store must reap dead processes' files"
-    );
-    let id = store.insert("em3d", configs[0], &trace);
-    assert!(
-        store.spill_path().is_some(),
-        "store must spill under {dir:?}"
-    );
-    assert!(store.spilled_bytes() > 0, "capture never reached the spill");
-    // Replay reads back through the spill file before the crash.
-    let _ = store.replay_serial(id, configs[0]);
-
-    // The abort@0 crash drill: the injected panic unwinds past the
-    // store, whose teardown must take the spill file with it.
-    let abort = SweepAbort::with_plan(Some(FaultPlan::new(0).at(FaultKind::SweepAbort, 0)));
-    let crashed = std::panic::catch_unwind(AssertUnwindSafe(move || {
-        let _store = store;
-        abort.after_cell();
-    }));
-    assert!(crashed.is_err(), "the injected abort did not fire");
-
-    let leftovers: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .filter(|n| n.starts_with("rnuma-trace-spill-"))
-        .collect();
-    assert!(
-        leftovers.is_empty(),
-        "abort drill left spill files behind: {leftovers:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The checkpoint/resume drill: a sweep killed mid-run by an injected
 /// abort, resumed from its journal, produces a grid bit-identical to a
 /// clean uninterrupted sweep — without re-simulating journaled cells.

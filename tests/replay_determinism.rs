@@ -1,6 +1,6 @@
 //! The determinism contract of the trace-once/replay-many sweep
 //! driver: every cell a sweep produces is **bit-identical** to a serial
-//! `Machine::replay` of the captured stream on that cell's
+//! `TraceStore::replay_serial` of the captured stream on that cell's
 //! configuration — across the paper's entire figure grid, through the
 //! interned `TraceStore` arena, and through the pool-backed sharded
 //! executor at any shard count.

@@ -78,23 +78,18 @@ fn robustness_env_plumbing() {
         assert_eq!(window_deadline_from_env(), None);
     });
 
-    // RNUMA_JOURNAL: core treats the value as a path; bench resolves
-    // the literal "1" to results/sweep_journal.jsonl; an unopenable
-    // journal (here: a directory) disables checkpointing, never aborts.
+    // RNUMA_JOURNAL has one resolver (`Journal::from_env`), shared by
+    // `run_sweep` and `sweep_grid`: unset means off; a path is the
+    // journal; the literal "1" is results/sweep_journal.jsonl; an
+    // unopenable journal (here: a directory) disables checkpointing,
+    // never aborts.
     let dir = temp_dir("journal");
     let explicit = dir.join("explicit.jsonl");
     with_var("RNUMA_JOURNAL", None, || {
         assert!(Journal::from_env().is_none());
-        assert!(rnuma_bench::sweep_journal_from_env().is_none());
     });
     with_var("RNUMA_JOURNAL", Some(explicit.to_str().unwrap()), || {
         assert_eq!(Journal::from_env().expect("fresh journal").path(), explicit);
-        assert_eq!(
-            rnuma_bench::sweep_journal_from_env()
-                .expect("fresh journal")
-                .path(),
-            explicit
-        );
     });
     with_var("RNUMA_JOURNAL", Some(dir.to_str().unwrap()), || {
         assert!(
@@ -102,10 +97,12 @@ fn robustness_env_plumbing() {
             "a directory is not a journal"
         );
     });
-    with_var("RNUMA_RESULTS_DIR", Some(dir.to_str().unwrap()), || {
+    let results = dir.join("results");
+    with_var("RNUMA_RESULTS_DIR", Some(results.to_str().unwrap()), || {
         with_var("RNUMA_JOURNAL", Some("1"), || {
-            let journal = rnuma_bench::sweep_journal_from_env().expect("canonical journal");
-            assert_eq!(journal.path(), dir.join("sweep_journal.jsonl"));
+            let journal = Journal::from_env().expect("canonical journal");
+            assert_eq!(journal.path(), results.join("sweep_journal.jsonl"));
+            assert!(results.is_dir(), "the results directory is created");
         });
     });
 

@@ -25,8 +25,8 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{
-    parallel_map, run, run_parallel, run_replayed_journaled, run_traced_env_checked, RunReport,
-    SweepAbort, TraceStore,
+    parallel_map, run, run_parallel, run_replayed_journaled, run_traced, RunReport, SweepAbort,
+    TraceStore,
 };
 use rnuma::journal::Journal;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
@@ -141,13 +141,6 @@ pub fn apps() -> &'static [&'static str] {
 /// produce exactly the numbers the serial loops did, just
 /// `available_parallelism()` times faster.
 ///
-/// Setting `RNUMA_SHARDS` to more than 1 routes every grid cell through
-/// the self-checking intra-machine sharded executor
-/// ([`rnuma::experiment::run_sharded_checked`]): each simulation runs
-/// serially, is replayed across that many node shards, and panics if
-/// the two executions are not bit-identical — turning any figure
-/// regeneration into a determinism proof over the whole grid.
-///
 /// # Example
 ///
 /// ```
@@ -198,8 +191,7 @@ pub fn run_grid(
 /// baseline — conventionally the ideal machine), interned into a
 /// shared [`TraceStore`], and replayed against every other
 /// configuration. Captures fan out over the host's cores first, then
-/// all replay cells do; `RNUMA_JOBS` overrides the worker count and
-/// `RNUMA_SHARDS` adds the per-cell pool-backed sharded self-check.
+/// all replay cells do; `RNUMA_JOBS` overrides the worker count.
 ///
 /// Returns the same row shape as [`run_grid`]. The difference in
 /// *meaning*: every cell of a row simulates the **same** reference
@@ -232,8 +224,8 @@ pub fn run_grid(
 ///
 /// # Panics
 ///
-/// Panics if `configs` is empty, any `app` is not a Table-3
-/// application, or a self-checking sharded replay diverges.
+/// Panics if `configs` is empty or any `app` is not a Table-3
+/// application.
 #[must_use]
 pub fn sweep_grid(
     apps: &[&'static str],
@@ -256,7 +248,7 @@ pub fn sweep_grid(
     for chunk in apps.chunks(batch) {
         let captures = parallel_map(chunk, |&app| {
             let mut w = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
-            run_traced_env_checked(configs[0], &mut w)
+            run_traced(configs[0], &mut w)
         });
         for (report, trace) in captures {
             ids.push(store.insert(report.workload, configs[0], &trace));

@@ -9,8 +9,7 @@
 //!   other configuration;
 //! * **per-cell capture** — the same replay infrastructure *without*
 //!   the shared store: every cell captures its own trace and replays
-//!   it (what `RNUMA_SHARDS`-style self-checking cells cost, and what
-//!   a sweep without the store would pay);
+//!   it (what a sweep without the store would pay);
 //! * **direct** — plain execution-driven `run` per cell, for reference
 //!   (it pays workload generation per cell but never materializes a
 //!   trace).
@@ -346,10 +345,8 @@ pub fn measure(apps: &[&'static str], configs: &[MachineConfig], scale: Scale) -
     // The two replay lanes feed the CI regression gate, so they get a
     // longer budget than the reporting-only lanes: their *ratio* must
     // be stable against scheduler noise, not just indicative.
-    // `replay_serial`, not `run_replayed`: the latter adds a whole
-    // sharded self-check replay per cell when `RNUMA_SHARDS>1` is in
-    // the environment, which would distort the gated ratio and make
-    // the lane asymmetric with the per-op one below.
+    // `replay_serial` directly, so the timed lane is exactly the
+    // batched kernel and stays symmetric with the per-op one below.
     let replay_ops = store.captured_ops() * (configs.len() as u64 - 1);
     let replay_secs = time_passes_for(0.6, || {
         let mut sink = 0u64;
@@ -374,11 +371,17 @@ pub fn measure(apps: &[&'static str], configs: &[MachineConfig], scale: Scale) -
 
     // Pooled-batched lane: the same cells through the sharded
     // executor's window buckets and their batched bucket kernel, on a
-    // pool that always has workers (`ShardPool::checking`) so the
-    // pooled path is actually exercised — which makes this an honest
-    // measurement of scan + handoff + kernel even on single-core CI
-    // (where it costs more than serial batched replay).
-    let pool = ShardPool::checking();
+    // pool that always has workers (the shared pool, or two workers
+    // where the host has a single core) so the pooled path is actually
+    // exercised — which makes this an honest measurement of scan +
+    // handoff + kernel even on single-core CI (where it costs more than
+    // serial batched replay).
+    let shared = ShardPool::shared();
+    let pool = if shared.workers() > 0 {
+        shared
+    } else {
+        Arc::new(ShardPool::new(2))
+    };
     let pooled_shards = 4usize;
     let pooled_replay_secs = time_passes_for(0.4, || {
         let mut sink = 0u64;

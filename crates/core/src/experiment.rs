@@ -4,19 +4,16 @@
 //! The paper's figures all follow the same recipe: run an application on
 //! several machine configurations and report execution times normalized
 //! to the ideal CC-NUMA (infinite block cache). [`run`] performs one
-//! such run; [`run_normalized`] performs a batch against the ideal
-//! baseline.
+//! such run.
 //!
 //! # Parallel batches
 //!
 //! Each simulation is a pure function of its `(config, workload)` pair
 //! and owns its [`Machine`], so batches are embarrassingly parallel.
 //! [`run_parallel`] fans a job list out over the host's cores with
-//! scoped threads: every job still runs exactly the serial code path on
-//! its own machine, so per-run metrics are bit-identical to a serial
-//! execution ([`run_normalized_serial`] exists as the reference
-//! implementation, and the workspace determinism tests compare the
-//! two).
+//! scoped threads: every job runs exactly [`run`] on its own machine,
+//! so per-run metrics are bit-identical to a serial loop of [`run`]
+//! (the workspace determinism tests compare the two).
 //!
 //! # Trace-once, replay many
 //!
@@ -32,9 +29,8 @@
 //! `rnuma_bench::sweep_grid`) run every replay cell through one
 //! checkpointed step, [`run_replayed_journaled`]. Replay is
 //! bit-identical to a serial batched
-//! [`Machine::apply_batch`] of the same stream in every execution mode
-//! (`RNUMA_SHARDS` turns each cell into a pool-backed self-check), and
-//! the sweep's reference stream is *fixed across cells* — the classic
+//! [`Machine::apply_batch`] of the same stream, and the sweep's
+//! reference stream is *fixed across cells* — the classic
 //! trace-driven methodology. See `docs/SWEEP.md` for the model and its
 //! guarantees.
 
@@ -43,7 +39,7 @@ use crate::journal::{cell_key, Journal};
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Workload};
-use crate::shard::{shards_from_env, CpuRun, ShardPool, ShardedMachine, TraceOp};
+use crate::shard::{CpuRun, ShardedMachine, TraceOp};
 use crate::trace::{decode_segment, encode_segment, CpuRefs, ProfileArena, SegMeta, SEG_OPS};
 use rnuma_sim::fault::{FaultKind, FaultLog, FaultPlan};
 use std::path::PathBuf;
@@ -124,48 +120,6 @@ pub fn run_traced<W: Workload + ?Sized>(
     (report, trace)
 }
 
-/// Runs `workload` serially, then replays its trace on a
-/// [`ShardedMachine`] with `shards` shards and asserts the two
-/// executions are bit-identical, returning the (serial) report.
-///
-/// This is the self-checking mode behind `RNUMA_SHARDS`: pointing it at
-/// the full figure grid turns every experiment into a determinism proof
-/// of the sharded executor.
-///
-/// # Panics
-///
-/// Panics if `config` fails validation, or — the point of the mode — if
-/// the sharded replay diverges from the serial execution.
-pub fn run_sharded_checked<W: Workload + ?Sized>(
-    config: MachineConfig,
-    workload: &mut W,
-    shards: usize,
-) -> RunReport {
-    let (report, trace) = run_traced(config, workload);
-    check_sharded_replay(&report, config, shards, |sm| sm.run_trace(&trace));
-    report
-}
-
-/// [`run`], honoring the `RNUMA_SHARDS` environment variable: when it
-/// requests more than one shard, the run is executed through
-/// [`run_sharded_checked`] instead. This is what the batch drivers
-/// ([`run_parallel`] and `rnuma_bench::run_grid`) call per job.
-pub fn run_env_sharded<W: Workload + ?Sized>(config: MachineConfig, workload: &mut W) -> RunReport {
-    match shards_from_env() {
-        Some(shards) if shards > 1 => run_sharded_checked(config, workload, shards),
-        _ => run(config, workload),
-    }
-}
-
-/// A report together with its execution time normalized to a baseline.
-#[derive(Clone, Debug)]
-pub struct NormalizedReport {
-    /// The underlying run.
-    pub report: RunReport,
-    /// `report` execution time divided by the baseline's.
-    pub normalized_time: f64,
-}
-
 /// Runs one simulation per job, fanned out over the host's cores.
 ///
 /// `make` turns a job description into a `(config, workload)` pair *on
@@ -175,10 +129,7 @@ pub struct NormalizedReport {
 /// runs share nothing.
 ///
 /// Set `RNUMA_JOBS=1` (or any number) to override the worker count,
-/// e.g. to force serial execution when profiling. Setting `RNUMA_SHARDS`
-/// to more than 1 additionally routes every job through the
-/// self-checking intra-machine sharded path
-/// ([`run_sharded_checked`]).
+/// e.g. to force serial execution when profiling.
 ///
 /// # Example
 ///
@@ -217,7 +168,7 @@ where
 {
     parallel_map(jobs, |j| {
         let (config, mut w) = make(j);
-        run_env_sharded(config, &mut w)
+        run(config, &mut w)
     })
 }
 
@@ -277,22 +228,22 @@ where
 /// Shared parser for numeric `RNUMA_*` environment variables under the
 /// workspace's uniform misconfiguration contract.
 ///
-/// * Unset → `default` (each variable's documented fallback).
-/// * A parse in `1..` → `Some(value)`, clamped down to `max`.
+/// * Unset → `default` (the variable's documented fallback).
+/// * A parse in `1..` → that value.
 /// * Set but *not a usable count* — `0` or anything unparsable — is a
 ///   misconfiguration: one warning naming the variable goes to stderr
 ///   (once per variable per process; tests count the name in
 ///   subprocess stderr), and `default` applies. Misconfiguration never
 ///   aborts a run and never silently coerces.
 #[must_use]
-pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize> {
+pub fn env_usize(name: &str, default: usize) -> usize {
     let Ok(raw) = std::env::var(name) else {
         return default;
     };
     match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n.min(max)),
+        Ok(n) if n >= 1 => n,
         _ => {
-            warn_once_misconfigured(name, &raw, max);
+            warn_once_misconfigured(name, &raw);
             default
         }
     }
@@ -336,7 +287,7 @@ pub fn results_path() -> PathBuf {
 /// per-name registry (rather than one `Once` per call site) keeps the
 /// contract uniform no matter how many call sites parse the same
 /// variable.
-fn warn_once_misconfigured(name: &str, raw: &str, max: usize) {
+fn warn_once_misconfigured(name: &str, raw: &str) {
     use std::sync::{Mutex, OnceLock, PoisonError};
     static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
     let mut warned = WARNED
@@ -347,100 +298,23 @@ fn warn_once_misconfigured(name: &str, raw: &str, max: usize) {
         return;
     }
     warned.push(name.to_string());
-    if max == usize::MAX {
-        eprintln!("rnuma: {name}={raw:?} is not a count (want an integer >= 1); using the documented default");
-    } else {
-        eprintln!(
-            "rnuma: {name}={raw:?} is not a count (want 1..={max}); using the documented default"
-        );
-    }
+    eprintln!(
+        "rnuma: {name}={raw:?} is not a count (want an integer >= 1); using the documented default"
+    );
 }
 
 /// The worker count [`parallel_map`] would use for `jobs` jobs:
 /// `RNUMA_JOBS` when set to a usable count, otherwise the host's
 /// available parallelism, clamped to the job count. `RNUMA_JOBS=0` or
 /// an unparsable value is a misconfiguration: it warns once to stderr
-/// and falls back to available parallelism ([`env_usize`] contract),
-/// exactly like the other numeric `RNUMA_*` variables. Batch drivers
+/// and falls back to available parallelism ([`env_usize`] contract).
+/// Batch drivers
 /// that want to bound in-flight memory (e.g. raw traces awaiting
 /// interning) size their batches with this.
 #[must_use]
 pub fn parallel_workers(jobs: usize) -> usize {
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    env_usize("RNUMA_JOBS", Some(host), usize::MAX)
-        .unwrap_or(host)
-        .clamp(1, jobs.max(1))
-}
-
-/// Runs `workload` on each configuration — in parallel across
-/// configurations — and normalizes execution times to the first
-/// configuration in `configs` (conventionally the ideal machine).
-///
-/// Returns one entry per configuration, in order; the first entry's
-/// `normalized_time` is 1.0 by construction. Every entry is
-/// bit-identical to the serial [`run_normalized_serial`] result.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or the baseline executes in zero cycles.
-pub fn run_normalized<W, F>(configs: &[MachineConfig], make_workload: F) -> Vec<NormalizedReport>
-where
-    W: Workload,
-    F: Fn() -> W + Sync,
-{
-    assert!(
-        !configs.is_empty(),
-        "need at least a baseline configuration"
-    );
-    let reports = run_parallel(configs, |&config| (config, make_workload()));
-    normalize_to_first(reports)
-}
-
-/// The serial reference implementation of [`run_normalized`]: identical
-/// results, one run at a time. Kept for determinism tests and
-/// single-core profiling.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or the baseline executes in zero cycles.
-pub fn run_normalized_serial<W, F>(
-    configs: &[MachineConfig],
-    mut make_workload: F,
-) -> Vec<NormalizedReport>
-where
-    W: Workload,
-    F: FnMut() -> W,
-{
-    assert!(
-        !configs.is_empty(),
-        "need at least a baseline configuration"
-    );
-    let reports = configs
-        .iter()
-        .map(|&config| run(config, &mut make_workload()))
-        .collect();
-    normalize_to_first(reports)
-}
-
-/// [`run_traced`], plus the `RNUMA_SHARDS` self-check: when the
-/// environment requests more than one shard, the captured stream is
-/// replayed on the pool-backed sharded executor and checked
-/// bit-identical against the capture run before returning. Batch sweep
-/// drivers use this to capture in parallel and intern serially.
-///
-/// # Panics
-///
-/// Panics if `config` fails validation, or if the sharded replay
-/// diverges (an executor bug).
-pub fn run_traced_env_checked<W: Workload + ?Sized>(
-    config: MachineConfig,
-    workload: &mut W,
-) -> (RunReport, Vec<TraceOp>) {
-    let (report, trace) = run_traced(config, workload);
-    if let Some(shards) = shards_from_env().filter(|&s| s > 1) {
-        check_sharded_replay(&report, config, shards, |sm| sm.run_trace(&trace));
-    }
-    (report, trace)
+    env_usize("RNUMA_JOBS", host).clamp(1, jobs.max(1))
 }
 
 /// Handle of one captured trace inside a [`TraceStore`].
@@ -574,24 +448,19 @@ impl TraceStore {
     }
 
     /// Runs `workload` on `config` — exactly like [`run`] — recording
-    /// its operation stream ([`run_traced_env_checked`]) and storing it
+    /// its operation stream ([`run_traced`]) and storing it
     /// ([`TraceStore::insert`]). Returns the stream's id and the capture
     /// run's report.
     ///
-    /// When `RNUMA_SHARDS` requests more than one shard, the captured
-    /// stream is additionally replayed on the pool-backed sharded
-    /// executor and checked bit-identical against the capture run.
-    ///
     /// # Panics
     ///
-    /// Panics if `config` fails validation, or if the self-checking
-    /// sharded replay diverges (an executor bug).
+    /// Panics if `config` fails validation.
     pub fn capture<W: Workload + ?Sized>(
         &mut self,
         config: MachineConfig,
         workload: &mut W,
     ) -> (TraceId, RunReport) {
-        let (report, trace) = run_traced_env_checked(config, workload);
+        let (report, trace) = run_traced(config, workload);
         (self.insert(report.workload, config, &trace), report)
     }
 
@@ -857,62 +726,27 @@ fn seg_hash(ops: &[TraceOp]) -> u64 {
     h
 }
 
-/// Asserts that a pool-backed sharded replay on `config` is
-/// bit-identical to `report` (the serial execution of the same
-/// stream). `feed` drives the stream into the sharded machine — a flat
-/// `run_trace` or a segment-by-segment decoded replay; the executor
-/// folds its metrics after every feed, so the two are equivalent.
-///
-/// Runs on [`ShardPool::checking`], which always has workers — a
-/// zero-worker pool would make the executor bypass itself and turn the
-/// check into serial-vs-serial.
-fn check_sharded_replay(
-    report: &RunReport,
-    config: MachineConfig,
-    shards: usize,
-    feed: impl Fn(&mut ShardedMachine),
-) {
-    let mut sharded = ShardedMachine::with_pool(config, shards, ShardPool::checking())
-        .expect("config validated by caller");
-    feed(&mut sharded);
-    assert!(
-        report.metrics.replay_eq(&sharded.metrics()),
-        "sharded replay ({shards} shards) diverged from serial for {} on {}:\n\
-         serial:  {}\nsharded: {}",
-        report.workload,
-        report.protocol,
-        report.metrics,
-        sharded.metrics()
-    );
-}
-
 /// Replays one sweep cell: the captured stream `id` against `config`,
-/// serially — and, when `RNUMA_SHARDS` requests more than one shard,
-/// additionally through the pool-backed sharded executor with a
-/// bit-identical self-check. This is the per-cell entry point of the
-/// trace-once/replay-many driver (`rnuma_bench::sweep_grid` calls it
-/// for every non-capture cell).
+/// serially ([`TraceStore::replay_serial`]). This is the per-cell entry
+/// point of the trace-once/replay-many driver (`rnuma_bench::sweep_grid`
+/// calls it, through [`run_replayed_journaled`], for every non-capture
+/// cell).
 ///
 /// # Panics
 ///
 /// Panics if `config` fails validation or mismatches the capture
-/// cluster shape, or — the point of the self-check — if the sharded
-/// replay diverges from the serial one.
+/// cluster shape.
 #[must_use]
 pub fn run_replayed(store: &TraceStore, id: TraceId, config: MachineConfig) -> RunReport {
-    let report = store.replay_serial(id, config);
-    if let Some(shards) = shards_from_env().filter(|&s| s > 1) {
-        check_sharded_replay(&report, config, shards, |sm| store.replay_sharded(id, sm));
-    }
-    report
+    store.replay_serial(id, config)
 }
 
 /// Runs one workload against a whole configuration axis the
 /// trace-once/replay-many way: the workload executes **once**, on
 /// `configs[0]` (capturing its stream), and every other configuration
 /// replays the captured stream — fanned over the host's cores
-/// (`RNUMA_JOBS` overrides; `RNUMA_SHARDS` adds the per-cell sharded
-/// self-check). Returns one report per configuration, in order.
+/// (`RNUMA_JOBS` overrides). Returns one report per configuration, in
+/// order.
 ///
 /// All cells therefore simulate the *same* reference stream — the
 /// fixed-trace methodology classic ccNUMA tooling uses for sweeps —
@@ -1079,18 +913,6 @@ pub fn run_replayed_journaled(
     report
 }
 
-fn normalize_to_first(reports: Vec<RunReport>) -> Vec<NormalizedReport> {
-    let base = reports[0].cycles();
-    assert!(base > 0, "baseline executed no cycles");
-    reports
-        .into_iter()
-        .map(|report| NormalizedReport {
-            normalized_time: report.cycles() as f64 / base as f64,
-            report,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,18 +971,17 @@ mod tests {
             MachineConfig::paper_base(Protocol::paper_scoma()),
             MachineConfig::paper_base(Protocol::paper_rnuma()),
         ];
-        let par = run_normalized(&configs, || Stream { words: 2048 });
-        let ser = run_normalized_serial(&configs, || Stream { words: 2048 });
+        let par = run_parallel(&configs, |&config| (config, Stream { words: 2048 }));
+        let ser: Vec<RunReport> = configs
+            .iter()
+            .map(|&config| run(config, &mut Stream { words: 2048 }))
+            .collect();
         assert_eq!(par.len(), ser.len());
         for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(p.report.cycles(), s.report.cycles());
-            assert_eq!(p.report.metrics.references(), s.report.metrics.references());
-            assert_eq!(
-                p.report.metrics.remote_fetches,
-                s.report.metrics.remote_fetches
-            );
-            assert_eq!(p.report.metrics.refetches, s.report.metrics.refetches);
-            assert!((p.normalized_time - s.normalized_time).abs() < f64::EPSILON);
+            assert_eq!(p.cycles(), s.cycles());
+            assert_eq!(p.metrics.references(), s.metrics.references());
+            assert_eq!(p.metrics.remote_fetches, s.metrics.remote_fetches);
+            assert_eq!(p.metrics.refetches, s.metrics.refetches);
         }
     }
 
@@ -1311,18 +1132,5 @@ mod tests {
         assert_eq!(out, (0..37).map(|j| j * 3).collect::<Vec<_>>());
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map(&empty, |&j| j).is_empty());
-    }
-
-    #[test]
-    fn normalization_baseline_is_first() {
-        let configs = [
-            MachineConfig::paper_base(Protocol::ideal()),
-            MachineConfig::paper_base(Protocol::paper_ccnuma()),
-        ];
-        let reports = run_normalized(&configs, || Stream { words: 2048 });
-        assert_eq!(reports.len(), 2);
-        assert!((reports[0].normalized_time - 1.0).abs() < 1e-12);
-        // The finite machine can never beat the ideal one.
-        assert!(reports[1].normalized_time >= 1.0 - 1e-12);
     }
 }

@@ -65,6 +65,10 @@
 //! or because the host has a single core), windows run inline on the
 //! coordinator, which measures within noise of the plain serial walk.
 //!
+//! No batch driver builds a sharded machine: the executor runs only
+//! where code constructs a [`ShardedMachine`] explicitly — the
+//! differential and fault suites, the benches and the benchmark probe.
+//!
 //! The full argument for why this reproduces the serial execution
 //! bit-for-bit is spelled out in `docs/DETERMINISM.md`; the workspace
 //! determinism tests enforce it across the paper's whole figure grid.
@@ -460,8 +464,8 @@ struct Done {
 ///
 /// Workers are spawned once and live until the pool drops; between
 /// windows they park on the job queue. One pool serves any number of
-/// [`ShardedMachine`]s concurrently — jobs are self-contained, so the
-/// whole figure grid can self-check through a single process-wide pool
+/// [`ShardedMachine`]s concurrently — jobs are self-contained, so a
+/// whole differential suite can share a single process-wide pool
 /// ([`ShardPool::shared`]).
 ///
 /// A pool with zero workers is valid and means *inline execution*: no
@@ -618,23 +622,6 @@ impl ShardPool {
             let workers = if cores <= 1 { 0 } else { cores.min(MAX_SHARDS) };
             Arc::new(ShardPool::new(workers))
         }))
-    }
-
-    /// The pool self-checking replays run on: [`ShardPool::shared`]
-    /// when it has workers, otherwise a process-wide two-worker pool.
-    ///
-    /// A zero-worker pool makes `ShardedMachine` bypass the executor
-    /// entirely, which would turn a "sharded vs. serial" self-check
-    /// into serial-vs-serial; forcing workers here keeps
-    /// `RNUMA_SHARDS` checks meaningful on single-core hosts.
-    #[must_use]
-    pub fn checking() -> Arc<ShardPool> {
-        let shared = ShardPool::shared();
-        if shared.workers() > 0 {
-            return shared;
-        }
-        static FORCED: OnceLock<Arc<ShardPool>> = OnceLock::new();
-        Arc::clone(FORCED.get_or_init(|| Arc::new(ShardPool::new(2))))
     }
 
     /// Number of worker threads (0 = every window runs inline). Dead
@@ -826,7 +813,8 @@ pub struct ShardedMachine {
     /// [`set_fault_plan`](Self::set_fault_plan)); `None` = no injection.
     fault_plan: Option<FaultPlan>,
     /// Watchdog: max milliseconds to wait for any worker reply at a
-    /// window barrier (`RNUMA_WINDOW_DEADLINE_MS`, default off).
+    /// window barrier ([`set_window_deadline_ms`](Self::set_window_deadline_ms),
+    /// default off).
     deadline_ms: Option<u64>,
     /// Faults this machine absorbed (panics recovered, hangs timed out,
     /// submissions degraded to inline).
@@ -898,7 +886,7 @@ impl ShardedMachine {
             reply_rx,
             stats: ShardStats::default(),
             fault_plan: FaultPlan::from_env(),
-            deadline_ms: window_deadline_from_env(),
+            deadline_ms: None,
             fault_log: FaultLog::new(),
             next_job_id: 0,
             ranges,
@@ -914,10 +902,10 @@ impl ShardedMachine {
     }
 
     /// Sets (or clears) the per-window watchdog deadline in
-    /// milliseconds, replacing whatever `RNUMA_WINDOW_DEADLINE_MS`
-    /// configured. A deadline arms pre-dispatch snapshots; a window
-    /// whose workers do not reply in time is re-executed inline from
-    /// the snapshot, and late replies are discarded.
+    /// milliseconds (off by default). A deadline arms pre-dispatch
+    /// snapshots; a window whose workers do not reply in time is
+    /// re-executed inline from the snapshot, and late replies are
+    /// discarded.
     pub fn set_window_deadline_ms(&mut self, ms: Option<u64>) {
         self.deadline_ms = ms.filter(|&ms| ms > 0);
     }
@@ -1302,8 +1290,8 @@ impl ShardedMachine {
     fn recover_window(&mut self, p: Pending, cfg: &MachineConfig, epoch: u64, err: &PoolError) {
         let Some((mut chunk, bucket)) = p.snapshot else {
             panic!(
-                "{err}; no recovery snapshot was armed (set RNUMA_FAULTS or \
-                 RNUMA_WINDOW_DEADLINE_MS to enable exact self-healing)"
+                "{err}; no recovery snapshot was armed (set RNUMA_FAULTS, or call \
+                 set_fault_plan or set_window_deadline_ms, to enable exact self-healing)"
             );
         };
         {
@@ -1404,34 +1392,6 @@ fn classify(
             }
         }
     }
-}
-
-/// The shard count requested via `RNUMA_SHARDS`, if any.
-///
-/// `RNUMA_SHARDS=1` explicitly requests the single-threaded path, and
-/// unset means "no intra-machine sharding requested". A value that is
-/// *set but not a usable shard count* — `0` or anything unparsable —
-/// is a misconfiguration, and both shapes of it behave identically:
-/// a warning is printed to stderr (once per process, via the shared
-/// [`env_usize`](crate::experiment::env_usize) contract) and sharding
-/// is disabled (`None`). Counts above [`MAX_SHARDS`] clamp down.
-#[must_use]
-pub fn shards_from_env() -> Option<usize> {
-    crate::experiment::env_usize("RNUMA_SHARDS", None, MAX_SHARDS)
-}
-
-/// The per-window watchdog deadline requested via
-/// `RNUMA_WINDOW_DEADLINE_MS`, if any.
-///
-/// Unset means "no watchdog" (the default: barriers wait indefinitely,
-/// as a correct pool always replies). A value that is set but not a
-/// usable deadline — `0` or anything unparsable — is a
-/// misconfiguration: a warning is printed to stderr (once per process,
-/// via the shared [`env_usize`](crate::experiment::env_usize)
-/// contract) and the watchdog stays off.
-#[must_use]
-pub fn window_deadline_from_env() -> Option<u64> {
-    crate::experiment::env_usize("RNUMA_WINDOW_DEADLINE_MS", None, usize::MAX).map(|ms| ms as u64)
 }
 
 #[cfg(test)]

@@ -232,7 +232,7 @@ impl FaultPlan {
     /// The plan configured by the `RNUMA_FAULTS` environment variable,
     /// if any. Unset or empty means no plan; a malformed spec warns on
     /// stderr once per process and also means no plan (misconfiguration
-    /// must not abort a run, matching `RNUMA_SHARDS` semantics).
+    /// must not abort a run, matching `RNUMA_JOBS` semantics).
     #[must_use]
     pub fn from_env() -> Option<FaultPlan> {
         // lint: allow(D03, rnuma-sim sits below rnuma-core in the dependency graph, so the blessed experiment.rs helpers are unreachable; from_env implements the same warn-once contract locally and is pinned by tests/robust_env.rs)

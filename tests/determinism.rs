@@ -49,9 +49,9 @@ fn different_seeds_change_stochastic_workloads() {
 #[test]
 fn parallel_driver_reports_are_bit_identical_to_serial() {
     // The figure binaries fan (config, workload) pairs out over
-    // threads; every NormalizedReport must match the serial reference
-    // implementation exactly, on real application kernels.
-    use rnuma::experiment::{run_normalized, run_normalized_serial};
+    // threads; every report must match a serial loop of `run` exactly,
+    // on real application kernels.
+    use rnuma::experiment::run_parallel;
     let configs = [
         MachineConfig::paper_base(Protocol::ideal()),
         MachineConfig::paper_base(Protocol::paper_ccnuma()),
@@ -59,36 +59,33 @@ fn parallel_driver_reports_are_bit_identical_to_serial() {
         MachineConfig::paper_base(Protocol::paper_rnuma()),
     ];
     for app in ["em3d", "lu", "moldyn"] {
-        let par = run_normalized(&configs, || by_name(app, Scale::Tiny).expect("known app"));
-        let ser = run_normalized_serial(&configs, || by_name(app, Scale::Tiny).expect("known app"));
+        let par = run_parallel(&configs, |&config| {
+            (config, by_name(app, Scale::Tiny).expect("known app"))
+        });
+        let ser: Vec<_> = configs
+            .iter()
+            .map(|&config| run(config, &mut by_name(app, Scale::Tiny).expect("known app")))
+            .collect();
         assert_eq!(par.len(), ser.len());
         for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(p.report.protocol, s.report.protocol, "{app} order changed");
+            assert_eq!(p.protocol, s.protocol, "{app} order changed");
+            assert_eq!(p.cycles(), s.cycles(), "{app} cycles diverged");
             assert_eq!(
-                p.report.cycles(),
-                s.report.cycles(),
-                "{app} cycles diverged"
-            );
-            assert_eq!(
-                p.report.metrics.references(),
-                s.report.metrics.references(),
+                p.metrics.references(),
+                s.metrics.references(),
                 "{app} reference counts diverged"
             );
             assert_eq!(
-                p.report.metrics.remote_fetches, s.report.metrics.remote_fetches,
+                p.metrics.remote_fetches, s.metrics.remote_fetches,
                 "{app} remote fetches diverged"
             );
             assert_eq!(
-                p.report.metrics.refetches, s.report.metrics.refetches,
+                p.metrics.refetches, s.metrics.refetches,
                 "{app} refetches diverged"
             );
             assert_eq!(
-                p.report.metrics.os.page_replacements, s.report.metrics.os.page_replacements,
+                p.metrics.os.page_replacements, s.metrics.os.page_replacements,
                 "{app} page replacements diverged"
-            );
-            assert!(
-                (p.normalized_time - s.normalized_time).abs() < f64::EPSILON,
-                "{app} normalized time diverged"
             );
         }
     }

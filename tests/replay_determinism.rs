@@ -7,9 +7,8 @@
 //!
 //! See `docs/SWEEP.md` for the model these tests enforce and
 //! `docs/DETERMINISM.md` for the underlying epoch/effect-ordering
-//! argument. The `RNUMA_SHARDS`/`RNUMA_JOBS` environment combinations
-//! are covered in `tests/sharded_env.rs` (environment mutation needs
-//! its own process).
+//! argument. The sweep's results under `RNUMA_JOBS` are covered in
+//! `tests/robust_env.rs` (environment mutation needs its own process).
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::TraceStore;

@@ -1,16 +1,17 @@
-//! Robustness environment plumbing: `RNUMA_FAULTS`,
-//! `RNUMA_WINDOW_DEADLINE_MS`, and `RNUMA_JOURNAL` parsing — plus the
-//! CLI contracts of the figure binaries (warn-once misconfiguration on
-//! stderr for `RNUMA_SHARDS`, `RNUMA_JOBS`, and `RNUMA_FAULTS`;
-//! one-line diagnostic and nonzero exit on emitter I/O failure; fault
-//! plans never abort a figure run).
+//! Environment plumbing: `RNUMA_FAULTS`, `RNUMA_JOURNAL` and
+//! `RNUMA_JOBS` parsing, and the sweep driver's results under
+//! `RNUMA_JOBS` — plus the CLI contracts of the figure binaries
+//! (warn-once misconfiguration on stderr for `RNUMA_JOBS` and
+//! `RNUMA_FAULTS`; one-line diagnostic and nonzero exit on emitter I/O
+//! failure; fault plans never change or abort a figure run).
 //!
 //! The in-process tests mutate the environment, so they live in their
 //! own binary and one `#[test]` owns all the scenarios. The subprocess
 //! tests use `env_clear()` and are hermetic.
 
-use rnuma::shard::window_deadline_from_env;
-use rnuma::{FaultKind, FaultPlan, Journal};
+use rnuma::experiment::{parallel_workers, run_traced};
+use rnuma::{FaultKind, FaultPlan, Journal, TraceStore};
+use rnuma_workloads::{by_name, Scale};
 use std::process::Command;
 
 fn with_var<R>(name: &str, value: Option<&str>, body: impl FnOnce() -> R) -> R {
@@ -63,19 +64,29 @@ fn robustness_env_plumbing() {
         assert!(FaultPlan::from_env().is_none());
     });
 
-    // RNUMA_WINDOW_DEADLINE_MS mirrors RNUMA_SHARDS semantics: unset
-    // off; positive integer on; zero/garbage = warn-once + off.
-    with_var("RNUMA_WINDOW_DEADLINE_MS", None, || {
-        assert_eq!(window_deadline_from_env(), None);
+    // RNUMA_JOBS follows the warn-once misconfiguration contract of
+    // the numeric knobs (the shared env_usize helper): unset means the
+    // host's parallelism, a valid count sticks (clamped to the job
+    // count), and zero or garbage warn once to stderr and fall back to
+    // the host default — never a silent coercion to serial. The
+    // one-warning-per-process stderr shape is pinned subprocess-style
+    // below.
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    with_var("RNUMA_JOBS", None, || {
+        assert_eq!(parallel_workers(8), host.clamp(1, 8));
     });
-    with_var("RNUMA_WINDOW_DEADLINE_MS", Some("50"), || {
-        assert_eq!(window_deadline_from_env(), Some(50));
+    with_var("RNUMA_JOBS", Some("3"), || {
+        assert_eq!(parallel_workers(8), 3.clamp(1, 8));
+        assert_eq!(parallel_workers(2), 2, "workers never exceed the jobs");
     });
-    with_var("RNUMA_WINDOW_DEADLINE_MS", Some("0"), || {
-        assert_eq!(window_deadline_from_env(), None);
+    with_var("RNUMA_JOBS", Some("1"), || {
+        assert_eq!(parallel_workers(8), 1)
     });
-    with_var("RNUMA_WINDOW_DEADLINE_MS", Some("soon"), || {
-        assert_eq!(window_deadline_from_env(), None);
+    with_var("RNUMA_JOBS", Some("0"), || {
+        assert_eq!(parallel_workers(8), host.clamp(1, 8), "0 is not serial");
+    });
+    with_var("RNUMA_JOBS", Some("banana"), || {
+        assert_eq!(parallel_workers(8), host.clamp(1, 8));
     });
 
     // RNUMA_JOURNAL has one resolver (`Journal::from_env`), shared by
@@ -113,14 +124,43 @@ fn robustness_env_plumbing() {
         rnuma::MachineConfig::paper_base(rnuma::Protocol::ideal()),
         rnuma::MachineConfig::paper_base(rnuma::Protocol::paper_rnuma()),
     ];
-    let clean = rnuma_bench::sweep_grid(&["em3d"], &configs, rnuma_workloads::Scale::Tiny);
+    let clean = rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny);
+
+    // The sweep's cells run the batched replay loop; pin them to a
+    // per-op live-dispatch reference (the thin stand-in for the
+    // retired per-op replay entry points), so every RNUMA_JOBS setting
+    // below transitively proves batched ≡ per-op dispatch.
+    let (_, trace) = run_traced(configs[0], &mut by_name("em3d", Scale::Tiny).unwrap());
+    for (r, &config) in clean[0].iter().zip(&configs) {
+        let mut per_op = rnuma::Machine::new(config).unwrap();
+        rnuma_bench::sweep::live_dispatch(&mut per_op, &trace);
+        assert!(
+            r.metrics.replay_eq(&per_op.metrics()),
+            "sweep cell diverged from per-op replay on {}",
+            config.protocol
+        );
+    }
+    // The sweep driver reproduces itself bit-for-bit serial and
+    // parallel.
+    for jobs in ["1", "2"] {
+        let rows = with_var("RNUMA_JOBS", Some(jobs), || {
+            rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny)
+        });
+        for (r, b) in rows[0].iter().zip(&clean[0]) {
+            assert!(
+                r.metrics.replay_eq(&b.metrics),
+                "sweep diverged under RNUMA_JOBS={jobs}"
+            );
+        }
+    }
+
     let journaled = with_var("RNUMA_JOURNAL", Some(explicit.to_str().unwrap()), || {
-        let first = rnuma_bench::sweep_grid(&["em3d"], &configs, rnuma_workloads::Scale::Tiny);
+        let first = rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny);
         assert!(
             Journal::open(&explicit).unwrap().entries() >= 1,
             "journaled sweep recorded no cells"
         );
-        let second = rnuma_bench::sweep_grid(&["em3d"], &configs, rnuma_workloads::Scale::Tiny);
+        let second = rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny);
         (first, second)
     });
     for rows in [&journaled.0, &journaled.1] {
@@ -158,29 +198,6 @@ fn emitter_io_failure_exits_nonzero_with_one_line() {
         stderr.lines().count(),
         1,
         "want exactly one diagnostic line; stderr was: {stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Misconfigured `RNUMA_SHARDS` warns exactly once per process on
-/// stderr — even though every grid cell consults it — and the figure
-/// still regenerates successfully.
-#[test]
-fn shard_misconfiguration_warns_once_and_completes() {
-    let dir = temp_dir("warn-once");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
-        .args(["--scale", "tiny"])
-        .env_clear()
-        .env("RNUMA_RESULTS_DIR", &dir)
-        .env("RNUMA_SHARDS", "banana")
-        .output()
-        .expect("spawn fig5_pages");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "fig5_pages failed; stderr: {stderr}");
-    assert_eq!(
-        stderr.matches("RNUMA_SHARDS").count(),
-        1,
-        "want exactly one warning; stderr was: {stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -233,24 +250,47 @@ fn fault_misconfiguration_warns_once_and_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A figure binary under an active fault plan (worker panics at a 20%
-/// rate, sharded execution forced) completes successfully: injected
-/// faults self-heal instead of aborting the run.
+/// A figure binary under an active fault plan completes and writes the
+/// same CSV, byte for byte, as a fault-free run. The plan is capture
+/// pressure — the fault a figure binary's trace store takes — which
+/// downgrades interning to verbatim storage without changing results.
+/// fig6_base replays three of its four columns from that store, so a
+/// store the fault corrupted would change the CSV.
 #[test]
 fn figure_binary_completes_under_fault_plan() {
-    let dir = temp_dir("chaos");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
-        .args(["--scale", "tiny"])
-        .env_clear()
-        .env("RNUMA_RESULTS_DIR", &dir)
-        .env("RNUMA_SHARDS", "2")
-        .env("RNUMA_FAULTS", "panic_before~0.2,panic_after~0.1,seed=42")
-        .output()
-        .expect("spawn fig5_pages");
+    const PLAN: &str = "pressure~0.5,seed=42";
+    // The plan really fires on the path the binary takes: capturing a
+    // figure workload on the grid's baseline into a trace store.
+    let mut store = TraceStore::new();
+    store.set_fault_plan(FaultPlan::parse(PLAN).ok());
+    let baseline = rnuma::MachineConfig::paper_base(rnuma::Protocol::ideal());
+    store.capture(baseline, &mut by_name("em3d", Scale::Tiny).unwrap());
     assert!(
-        out.status.success(),
-        "fig5_pages aborted under fault plan; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        store.fault_log().count(FaultKind::CapturePressure) >= 1,
+        "plan {PLAN:?} never fired on a capture"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+
+    let fig6 = |tag: &str, faults: Option<&str>| {
+        let dir = temp_dir(tag);
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig6_base"));
+        cmd.args(["--scale", "tiny"])
+            .env_clear()
+            .env("RNUMA_RESULTS_DIR", &dir);
+        if let Some(plan) = faults {
+            cmd.env("RNUMA_FAULTS", plan);
+        }
+        let out = cmd.output().expect("spawn fig6_base");
+        assert!(
+            out.status.success(),
+            "fig6_base failed (RNUMA_FAULTS={faults:?}); stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let csv = std::fs::read(dir.join("fig6_base.csv")).expect("fig6_base.csv written");
+        let _ = std::fs::remove_dir_all(&dir);
+        csv
+    };
+    assert!(
+        fig6("chaos-clean", None) == fig6("chaos", Some(PLAN)),
+        "fig6_base.csv changed under fault plan {PLAN:?}"
+    );
 }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::{run_sharded_checked, run_traced};
+use rnuma::experiment::run_traced;
 use rnuma::shard::{ShardedMachine, TraceOp};
 use rnuma::Machine;
 use rnuma_mem::addr::{CpuId, Va};
@@ -58,16 +58,6 @@ fn ideal_baseline_is_shard_deterministic() {
     for app in ["em3d", "moldyn", "ocean"] {
         assert_sharded_matches_serial(app, ideal, &[2, 4, 8]);
     }
-}
-
-/// `run_sharded_checked` is the self-checking entry point the
-/// `RNUMA_SHARDS` plumbing uses; it must agree with a plain run.
-#[test]
-fn checked_run_reports_match_plain_runs() {
-    let config = MachineConfig::paper_base(Protocol::paper_rnuma());
-    let plain = rnuma::experiment::run(config, &mut by_name("lu", Scale::Tiny).unwrap());
-    let checked = run_sharded_checked(config, &mut by_name("lu", Scale::Tiny).unwrap(), 4);
-    assert!(plain.metrics.replay_eq(&checked.metrics));
 }
 
 fn arb_protocol() -> impl Strategy<Value = Protocol> {

@@ -698,7 +698,7 @@ mod tests {
     fn d03_fires_on_raw_env_reads_outside_experiment() {
         let a = one(
             "crates/core/src/other.rs",
-            r#"fn f() { let v = std::env::var("RNUMA_SHARDS"); let w = std::env::var_os("RNUMA_JOBS"); }"#,
+            r#"fn f() { let v = std::env::var("RNUMA_JOBS"); let w = std::env::var_os("RNUMA_JOBS"); }"#,
         );
         assert_eq!(ids(&a), ["D03", "D03"]);
     }
@@ -707,12 +707,12 @@ mod tests {
     fn d03_silent_in_experiment_and_on_helpers_and_other_vars() {
         let blessed = one(
             "crates/core/src/experiment.rs",
-            r#"fn f() { let v = std::env::var("RNUMA_SHARDS"); }"#,
+            r#"fn f() { let v = std::env::var("RNUMA_JOBS"); }"#,
         );
         assert!(blessed.findings.is_empty());
         let helper = one(
             "crates/core/src/other.rs",
-            r#"fn f() { let v = crate::experiment::env_raw("RNUMA_SHARDS"); }"#,
+            r#"fn f() { let v = crate::experiment::env_raw("RNUMA_JOBS"); }"#,
         );
         assert!(helper.findings.is_empty(), "{:?}", helper.findings);
         let other_var = one(

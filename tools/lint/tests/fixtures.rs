@@ -50,7 +50,7 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
     put(
         &root,
         "README.md",
-        "| `RNUMA_SHARDS=n` | a knob |\n| `RNUMA_STALE=1` | documented but unread |\n",
+        "| `RNUMA_JOBS=n` | a knob |\n| `RNUMA_STALE=1` | documented but unread |\n",
     );
     // D01: std HashMap in a result-bearing crate.
     put(
@@ -69,7 +69,7 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
     put(
         &root,
         "crates/core/src/knobs.rs",
-        "fn f() -> Option<String> { std::env::var(\"RNUMA_SHARDS\").ok() }\n",
+        "fn f() -> Option<String> { std::env::var(\"RNUMA_JOBS\").ok() }\n",
     );
     // E01 (source side): a knob with no README row.
     put(
@@ -137,7 +137,7 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
 #[test]
 fn clean_tree_with_reasoned_escape_exits_zero_and_prints_the_inventory() {
     let root = fresh_tree("clean");
-    put(&root, "README.md", "| `RNUMA_SHARDS=n` | a knob |\n");
+    put(&root, "README.md", "| `RNUMA_JOBS=n` | a knob |\n");
     // The blessed tree shape for P01…
     put(
         &root,
@@ -159,7 +159,7 @@ fn clean_tree_with_reasoned_escape_exits_zero_and_prints_the_inventory() {
         &root,
         "crates/core/src/experiment.rs",
         "pub fn env_raw(name: &str) -> Option<String> { std::env::var(name).ok() }\n\
-         pub fn shards() -> Option<String> { std::env::var(\"RNUMA_SHARDS\").ok() }\n",
+         pub fn jobs() -> Option<String> { std::env::var(\"RNUMA_JOBS\").ok() }\n",
     );
     // …deterministic maps, std maps only under cfg(test)…
     put(

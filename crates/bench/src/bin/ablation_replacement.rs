@@ -6,13 +6,12 @@
 //! R-NUMA execution times under LRM, FIFO, and Random victim
 //! selection, normalized per application to LRM.
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the first
-//! configuration of the grid and replayed against the rest
-//! (`docs/SWEEP.md`).
+//! Runs execution-driven (`run_grid`): every cell of the grid is its
+//! own simulation, so each machine's interleaving comes from its own
+//! timing (`docs/SWEEP.md`).
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma_bench::{apps, parse_scale, save, sweep_grid, TextTable};
+use rnuma_bench::{apps, parse_scale, run_grid, save, TextTable};
 use rnuma_mem::page_cache::ReplacementPolicy;
 
 const POLICIES: [(&str, ReplacementPolicy); 3] = [
@@ -42,7 +41,7 @@ fn main() {
             })
         })
         .collect();
-    let grid = sweep_grid(apps(), &configs, scale);
+    let grid = run_grid(apps(), &configs, scale);
 
     let mut out = String::new();
     let mut csv = String::from("app,protocol,policy,cycles\n");

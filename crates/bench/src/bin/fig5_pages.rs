@@ -6,13 +6,12 @@
 //! misses"; radix is the flat outlier. fft is omitted (it incurs no
 //! capacity/conflict misses).
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the first
-//! configuration of the grid and replayed against the rest
-//! (`docs/SWEEP.md`).
+//! Runs execution-driven (`run_grid`): every cell of the grid is its
+//! own simulation, so each machine's interleaving comes from its own
+//! timing (`docs/SWEEP.md`).
 
 use rnuma::config::Protocol;
-use rnuma_bench::{apps, parse_scale, save, sweep_protocol_grid, TextTable};
+use rnuma_bench::{apps, parse_scale, run_protocol_grid, save, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -23,7 +22,7 @@ fn main() {
         "application   refetches | cumulative % of refetches at top {5,10,20,30,50,70,100}% of remote pages",
     );
     let mut csv = String::from("app,page_fraction,refetch_fraction\n");
-    let grid = sweep_protocol_grid(apps(), &[Protocol::paper_ccnuma()], scale);
+    let grid = run_protocol_grid(apps(), &[Protocol::paper_ccnuma()], scale);
     for (app, row) in apps().iter().zip(&grid) {
         let report = &row[0];
         let cdf = report.metrics.refetch_cdf();

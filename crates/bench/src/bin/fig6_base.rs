@@ -6,13 +6,12 @@
 //! `(application, protocol)` simulations run in parallel across the
 //! host's cores.
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the ideal
-//! baseline and replayed against the three finite protocols
-//! (`docs/SWEEP.md`).
+//! Runs execution-driven (`run_grid`): every cell of the grid is its
+//! own simulation, so each machine's interleaving comes from its own
+//! timing (`docs/SWEEP.md`).
 
 use rnuma::config::Protocol;
-use rnuma_bench::{apps, bar, parse_scale, save, sweep_protocol_grid, TextTable};
+use rnuma_bench::{apps, bar, parse_scale, run_protocol_grid, save, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,7 +23,7 @@ fn main() {
         Protocol::paper_scoma(),
         Protocol::paper_rnuma(),
     ];
-    let grid = sweep_protocol_grid(apps(), &protocols, scale);
+    let grid = run_protocol_grid(apps(), &protocols, scale);
 
     let mut t = TextTable::new("application   CC-NUMA   S-COMA   R-NUMA   (normalized to ideal)");
     let mut csv = String::from("app,ccnuma,scoma,rnuma\n");

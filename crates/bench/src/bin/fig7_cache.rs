@@ -4,13 +4,12 @@
 //! 320 KB), (32 KB, 320 KB), and (128 B, 40 MB) block/page caches;
 //! all normalized to the ideal infinite-block-cache machine.
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the first
-//! configuration of the grid and replayed against the rest
-//! (`docs/SWEEP.md`).
+//! Runs execution-driven (`run_grid`): every cell of the grid is its
+//! own simulation, so each machine's interleaving comes from its own
+//! timing (`docs/SWEEP.md`).
 
 use rnuma::config::Protocol;
-use rnuma_bench::{apps, parse_scale, save, sweep_protocol_grid, TextTable};
+use rnuma_bench::{apps, parse_scale, run_protocol_grid, save, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -46,7 +45,7 @@ fn main() {
     // One parallel batch: ideal baseline first, then the five variants.
     let mut protocols = vec![Protocol::ideal()];
     protocols.extend(configs.iter().map(|&(_, p)| p));
-    let grid = sweep_protocol_grid(apps(), &protocols, scale);
+    let grid = run_protocol_grid(apps(), &protocols, scale);
 
     let mut t =
         TextTable::new("application   CC b=1K   CC b=32K   RN 128/320K   RN 32K/320K   RN 128/40M");

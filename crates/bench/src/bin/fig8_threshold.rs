@@ -3,13 +3,12 @@
 //! R-NUMA (128-B block cache, 320-KB page cache) at T ∈ {16, 64, 256,
 //! 1024}, normalized to T = 64 per application.
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the first
-//! configuration of the grid and replayed against the rest
-//! (`docs/SWEEP.md`).
+//! Runs execution-driven (`run_grid`): every cell of the grid is its
+//! own simulation, so each machine's interleaving comes from its own
+//! timing (`docs/SWEEP.md`).
 
 use rnuma::config::Protocol;
-use rnuma_bench::{apps, parse_scale, save, sweep_protocol_grid, TextTable};
+use rnuma_bench::{apps, parse_scale, run_protocol_grid, save, TextTable};
 
 const THRESHOLDS: [u32; 4] = [16, 64, 256, 1024];
 
@@ -25,7 +24,7 @@ fn main() {
             threshold,
         })
         .collect();
-    let grid = sweep_protocol_grid(apps(), &protocols, scale);
+    let grid = run_protocol_grid(apps(), &protocols, scale);
 
     let mut t =
         TextTable::new("application     T=16     T=64    T=256   T=1024   (normalized to T=64)");

@@ -6,13 +6,12 @@
 //! shootdowns via inter-processor interrupts), roughly tripling the
 //! per-page overhead. All normalized to the ideal CC-NUMA.
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the first
-//! configuration of the grid and replayed against the rest
-//! (`docs/SWEEP.md`).
+//! Runs execution-driven (`run_grid`): every cell of the grid is its
+//! own simulation, so each machine's interleaving comes from its own
+//! timing (`docs/SWEEP.md`).
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma_bench::{apps, parse_scale, save, sweep_grid, TextTable};
+use rnuma_bench::{apps, parse_scale, run_grid, save, TextTable};
 use rnuma_os::CostModel;
 
 fn main() {
@@ -32,7 +31,7 @@ fn main() {
         MachineConfig::paper_base(Protocol::paper_rnuma()),
         soft(Protocol::paper_rnuma()),
     ];
-    let grid = sweep_grid(apps(), &configs, scale);
+    let grid = run_grid(apps(), &configs, scale);
 
     let mut t = TextTable::new(
         "application   S-COMA   S-COMA-SOFT   R-NUMA   R-NUMA-SOFT   (normalized to ideal)",

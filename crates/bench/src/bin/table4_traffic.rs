@@ -6,13 +6,12 @@
 //! replacements as a percentage of S-COMA's (base configurations,
 //! threshold 64).
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the first
-//! configuration of the grid and replayed against the rest
-//! (`docs/SWEEP.md`).
+//! Runs execution-driven (`run_grid`): every cell of the grid is its
+//! own simulation, so each machine's interleaving comes from its own
+//! timing (`docs/SWEEP.md`).
 
 use rnuma::config::Protocol;
-use rnuma_bench::{apps, parse_scale, save, sweep_protocol_grid, TextTable};
+use rnuma_bench::{apps, parse_scale, run_protocol_grid, save, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -21,7 +20,7 @@ fn main() {
         "application   CC-NUMA RW pages   R-NUMA refetches (% of CC)   R-NUMA replacements (% of S-COMA)",
     );
     let mut csv = String::from("app,rw_page_fraction,rnuma_refetch_pct,rnuma_replacement_pct\n");
-    let grid = sweep_protocol_grid(
+    let grid = run_protocol_grid(
         apps(),
         &[
             Protocol::paper_ccnuma(),

@@ -18,17 +18,20 @@
 //!
 //! Every binary accepts `--scale paper|small|tiny` (default `paper`) and
 //! writes both a text report to stdout and machine-readable CSV under
-//! `results/`.
+//! `results/`. The grid binaries run execution-driven: every
+//! `(application, configuration)` cell is its own simulation
+//! ([`run_grid`]), checkpointed into the `RNUMA_JOURNAL` journal when
+//! one is set. [`sweep_grid`], the trace-once/replay-many driver, serves
+//! the replay suites and the benchmark probe (see `docs/SWEEP.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{
-    parallel_map, run, run_parallel, run_replayed_journaled, run_traced, RunReport, SweepAbort,
-    TraceStore,
+    parallel_map, run, run_replayed, run_traced, RunReport, SweepAbort, TraceStore,
 };
-use rnuma::journal::Journal;
+use rnuma::journal::{cell_key, Journal};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -132,14 +135,20 @@ pub fn apps() -> &'static [&'static str] {
 }
 
 /// Runs every `(application, configuration)` pair of the grid in
-/// parallel across the host's cores, one simulation per pair.
+/// parallel across the host's cores, one simulation per pair — the
+/// figure binaries' driver.
 ///
 /// Returns one row per application (in `apps` order); row `i` holds one
 /// [`RunReport`] per configuration (in `configs` order). Each report is
 /// bit-identical to a serial `run_app_config` of the same pair — every
-/// simulation owns its machine, so the figure binaries built on this
-/// produce exactly the numbers the serial loops did, just
-/// `available_parallelism()` times faster.
+/// simulation owns its machine, so the grid reproduces the serial
+/// loops' numbers exactly, just `available_parallelism()` times faster
+/// (`RNUMA_JOBS` overrides the worker count).
+///
+/// Every cell runs through [`run_cell`]: with `RNUMA_JOURNAL` set, each
+/// completed cell is checkpointed, and a re-run restores journaled
+/// cells instead of re-simulating them, so a grid killed mid-run
+/// resumes bit-identical to a clean one (see `docs/ROBUSTNESS.md`).
 ///
 /// # Example
 ///
@@ -161,22 +170,22 @@ pub fn apps() -> &'static [&'static str] {
 ///
 /// # Panics
 ///
-/// Panics if any `app` is not a Table-3 application.
+/// Panics if any `app` is not a Table-3 application, or when an
+/// `RNUMA_FAULTS` abort fires.
 #[must_use]
 pub fn run_grid(
     apps: &[&'static str],
     configs: &[MachineConfig],
     scale: Scale,
 ) -> Vec<Vec<RunReport>> {
-    let jobs: Vec<(&'static str, MachineConfig)> = apps
+    let journal = Journal::from_env();
+    let abort = SweepAbort::from_env();
+    let cells: Vec<(&'static str, MachineConfig)> = apps
         .iter()
         .flat_map(|&app| configs.iter().map(move |&c| (app, c)))
         .collect();
-    let reports = run_parallel(&jobs, |&(app, config)| {
-        (
-            config,
-            by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}")),
-        )
+    let reports = parallel_map(&cells, |&(app, config)| {
+        run_cell(app, config, scale, journal.as_ref(), &abort)
     });
     let mut rows = Vec::with_capacity(apps.len());
     let mut it = reports.into_iter();
@@ -184,6 +193,41 @@ pub fn run_grid(
         rows.push(it.by_ref().take(configs.len()).collect());
     }
     rows
+}
+
+/// One checkpointed grid cell — the step [`run_grid`] runs for every
+/// cell. The cell is keyed by (workload, scale, configuration)
+/// ([`cell_key`]). A cell already in `journal` is restored without
+/// re-simulation; otherwise `app` runs on `config` ([`run_app_config`]),
+/// the result is appended to `journal`, and `abort` takes one decision.
+///
+/// # Panics
+///
+/// Panics if `app` is not a Table-3 application — or when `abort`
+/// fires.
+#[must_use]
+pub fn run_cell(
+    app: &'static str,
+    config: MachineConfig,
+    scale: Scale,
+    journal: Option<&Journal>,
+    abort: &SweepAbort,
+) -> RunReport {
+    let keyed = journal.map(|j| (j, cell_key(app, &format!("{scale:?}"), &config)));
+    if let Some(metrics) = keyed.and_then(|(j, key)| j.lookup(key)) {
+        return RunReport {
+            workload: app,
+            protocol: config.protocol.label(),
+            config,
+            metrics: metrics.clone(),
+        };
+    }
+    let report = run_app_config(app, config, scale);
+    if let Some((j, key)) = keyed {
+        j.record(key, app, report.protocol, &report.metrics);
+    }
+    abort.after_cell();
+    report
 }
 
 /// [`run_grid`], the trace-once/replay-many way: each application's
@@ -199,7 +243,11 @@ pub fn run_grid(
 /// to a serial [`TraceStore::replay_serial`] of that stream on its
 /// configuration —
 /// enforced across the whole figure grid by
-/// `tests/replay_determinism.rs`. See `docs/SWEEP.md`.
+/// `tests/replay_determinism.rs`. Only the capture column is also what
+/// [`run_grid`] computes: every other cell keeps the baseline's
+/// interleaving, which moves R-NUMA's relocations on the racy kernels.
+/// No figure binary uses it; the replay suites and the benchmark probe
+/// do, and it never journals. See `docs/SWEEP.md`.
 ///
 /// # Example
 ///
@@ -258,40 +306,14 @@ pub fn sweep_grid(
         }
     }
     // Phase 3: replay every remaining (application, configuration) cell.
-    // With `RNUMA_JOURNAL` set, completed cells checkpoint into the
-    // sweep journal, so a sweep killed mid-run resumes where it died
-    // and finishes bit-identical to a clean one (see docs/ROBUSTNESS.md).
-    let journal = Journal::from_env();
-    let abort = SweepAbort::from_env();
     let cells: Vec<(usize, usize)> = (0..apps.len())
         .flat_map(|a| (1..configs.len()).map(move |c| (a, c)))
         .collect();
-    let replays = parallel_map(&cells, |&(a, c)| {
-        run_replayed_journaled(&store, ids[a], configs[c], journal.as_ref(), &abort)
-    });
+    let replays = parallel_map(&cells, |&(a, c)| run_replayed(&store, ids[a], configs[c]));
     for (&(a, _), report) in cells.iter().zip(replays) {
         rows[a].push(report);
     }
     rows
-}
-
-/// [`sweep_grid`] over protocols on the paper's base machine — what the
-/// figure binaries call.
-///
-/// # Panics
-///
-/// As [`sweep_grid`].
-#[must_use]
-pub fn sweep_protocol_grid(
-    apps: &[&'static str],
-    protocols: &[Protocol],
-    scale: Scale,
-) -> Vec<Vec<RunReport>> {
-    let configs: Vec<MachineConfig> = protocols
-        .iter()
-        .map(|&p| MachineConfig::paper_base(p))
-        .collect();
-    sweep_grid(apps, &configs, scale)
 }
 
 /// [`run_grid`] over protocols on the paper's base machine.

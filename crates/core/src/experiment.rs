@@ -1,5 +1,5 @@
-//! One-call experiment execution and the trace-once/replay-many sweep
-//! driver.
+//! One-call experiment execution, the parallel batch primitive, and
+//! the trace store.
 //!
 //! The paper's figures all follow the same recipe: run an application on
 //! several machine configurations and report execution times normalized
@@ -10,32 +10,32 @@
 //!
 //! Each simulation is a pure function of its `(config, workload)` pair
 //! and owns its [`Machine`], so batches are embarrassingly parallel.
-//! [`run_parallel`] fans a job list out over the host's cores with
-//! scoped threads: every job runs exactly [`run`] on its own machine,
-//! so per-run metrics are bit-identical to a serial loop of [`run`]
-//! (the workspace determinism tests compare the two).
+//! [`parallel_map`] fans a job list out over the host's cores with
+//! scoped threads and returns the results in job order. The figure
+//! binaries' grid driver (`rnuma_bench::run_grid`) runs every cell
+//! through it as one [`run`] on its own machine, so each cell is
+//! bit-identical to a serial loop of [`run`] (the workspace
+//! determinism tests compare the two). With `RNUMA_JOURNAL` set, that
+//! driver checkpoints every cell into a
+//! [`Journal`](crate::journal::Journal) keyed by
+//! [`cell_key`](crate::journal::cell_key); [`SweepAbort`] is its
+//! crash-injection point.
 //!
-//! # Trace-once, replay many
+//! # Trace capture and replay
 //!
-//! A parameter sweep runs the *same* application against every
-//! configuration in a grid. Re-executing the workload per cell re-pays
-//! its generation cost (item scheduling, address arithmetic, setup
-//! RNG) once per configuration; the sweep driver instead captures the
-//! workload's [`TraceOp`] stream **once** ([`run_traced`]) and interns
-//! it into a [`TraceStore`], a columnar, delta-encoded,
-//! profile-interned store — and replays it against every other
-//! configuration ([`run_replayed`] per cell, [`run_sweep`] for a whole
-//! config axis). Both sweep drivers ([`run_sweep_journaled`] and
-//! `rnuma_bench::sweep_grid`) run every replay cell through one
-//! checkpointed step, [`run_replayed_journaled`]. Replay is
-//! bit-identical to a serial batched
-//! [`Machine::apply_batch`] of the same stream, and the sweep's
-//! reference stream is *fixed across cells* — the classic
-//! trace-driven methodology. See `docs/SWEEP.md` for the model and its
-//! guarantees.
+//! [`run_traced`] records a run's [`TraceOp`] stream; a [`TraceStore`]
+//! holds captured streams columnar, delta-encoded and
+//! profile-interned, and replays them against any configuration of
+//! the same cluster shape ([`run_replayed`]). Replay is bit-identical
+//! to a serial batched [`Machine::apply_batch`] of the same stream, and
+//! a replayed stream is *fixed across configurations* — the classic
+//! trace-driven methodology. The figures do not use it: R-NUMA's
+//! relocations depend on each machine's own timing, which a fixed
+//! stream freezes at the capture machine's. The differential suites,
+//! the benches and the benchmark probe do (`rnuma_bench::sweep_grid`).
+//! See `docs/SWEEP.md`.
 
 use crate::config::MachineConfig;
-use crate::journal::{cell_key, Journal};
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Workload};
@@ -120,63 +120,11 @@ pub fn run_traced<W: Workload + ?Sized>(
     (report, trace)
 }
 
-/// Runs one simulation per job, fanned out over the host's cores.
-///
-/// `make` turns a job description into a `(config, workload)` pair *on
-/// the worker thread*, so workloads never cross threads (they may hold
-/// non-`Send` state). Results come back in job order, and each is
-/// bit-identical to what a serial `run` of the same pair produces —
-/// runs share nothing.
-///
-/// Set `RNUMA_JOBS=1` (or any number) to override the worker count,
-/// e.g. to force serial execution when profiling.
-///
-/// # Example
-///
-/// ```
-/// use rnuma::config::{MachineConfig, Protocol};
-/// use rnuma::experiment::run_parallel;
-/// use rnuma::program::{Runner, Workload};
-///
-/// struct Touch(u64);
-/// impl Workload for Touch {
-///     fn name(&self) -> &'static str { "touch" }
-///     fn run(&mut self, r: &mut Runner<'_>) {
-///         let data = r.alloc(self.0 * 8);
-///         let items = r.block_partition(self.0);
-///         r.parallel(&items, |ctx, _cpu, i| ctx.read(data.word(i)));
-///     }
-/// }
-///
-/// // One simulation per word count, fanned over the host's cores.
-/// let reports = run_parallel(&[256u64, 512], |&words| {
-///     (MachineConfig::paper_base(Protocol::paper_rnuma()), Touch(words))
-/// });
-/// assert_eq!(reports.len(), 2);
-/// assert_eq!(reports[0].metrics.references(), 256);
-/// assert_eq!(reports[1].metrics.references(), 512);
-/// ```
-///
-/// # Panics
-///
-/// Propagates panics from workload execution.
-pub fn run_parallel<J, W, F>(jobs: &[J], make: F) -> Vec<RunReport>
-where
-    J: Sync,
-    W: Workload,
-    F: Fn(&J) -> (MachineConfig, W) + Sync,
-{
-    parallel_map(jobs, |j| {
-        let (config, mut w) = make(j);
-        run(config, &mut w)
-    })
-}
-
 /// Applies `f` to every job, fanned out over the host's cores, and
 /// returns the results in job order.
 ///
-/// This is the worker-pool primitive behind [`run_parallel`] and the
-/// sweep drivers: jobs are claimed from a shared cursor, each `f`
+/// This is the worker-pool primitive behind the batch drivers
+/// (`rnuma_bench::run_grid` and `rnuma_bench::sweep_grid`): jobs are claimed from a shared cursor, each `f`
 /// invocation runs entirely on one worker thread, and `RNUMA_JOBS`
 /// overrides the worker count (1 forces serial execution). `f` must be
 /// order-independent — a pure function of its job — which every
@@ -512,7 +460,6 @@ impl TraceStore {
         }
         let meta = encode_segment(
             chunk,
-            seg_hash(chunk),
             &mut self.profiles,
             &mut self.runs,
             self.interning,
@@ -639,30 +586,6 @@ impl TraceStore {
         self.flat_bytes() as f64 / encoded as f64
     }
 
-    /// A stable content hash of the stream: the fold of its segments'
-    /// hashes in replay order, seeded with the op count. Segment hashes
-    /// are computed from the raw ops at capture time (`seg_hash` over
-    /// the pre-encoding chunk), so this hash is a property of the
-    /// *operation sequence*, not the encoding. Two streams hash equal
-    /// iff their operation sequences are identical (modulo hash
-    /// collisions, which [`Journal`] keying tolerates: a collision only
-    /// risks a stale journal hit, and journal cells additionally carry
-    /// the configuration in their key). This is what distinguishes
-    /// `em3d@Tiny` from `em3d@Paper` in a sweep journal — same workload
-    /// name, different stream.
-    #[must_use]
-    pub fn content_hash(&self, id: TraceId) -> u64 {
-        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-        let rec = self.rec(id);
-        let mut h = 0x6a09_e667_f3bc_c908u64 ^ rec.ops;
-        for seg in rec.seg_start..rec.seg_end {
-            h = (h ^ self.segs[seg as usize].hash)
-                .wrapping_mul(MIX)
-                .rotate_left(23);
-        }
-        h
-    }
-
     /// Replays the stream serially on a fresh machine built from
     /// `config`, returning its report. This is the *serial path* every
     /// other replay mode is bit-identical to; it decodes segment by
@@ -700,37 +623,10 @@ impl TraceStore {
     }
 }
 
-/// Deterministic content hash of one segment (FxHash-style multiply
-/// mixing; collisions are verified against the arena, never trusted).
-fn seg_hash(ops: &[TraceOp]) -> u64 {
-    const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (ops.len() as u64);
-    let feed = |h: &mut u64, v: u64| *h = (*h ^ v).wrapping_mul(MIX).rotate_left(23);
-    for op in ops {
-        match *op {
-            TraceOp::Access { cpu, va, write } => {
-                feed(&mut h, 1);
-                feed(&mut h, u64::from(cpu.0));
-                feed(&mut h, va.0);
-                feed(&mut h, u64::from(write));
-            }
-            TraceOp::Think { cpu, dur } => {
-                feed(&mut h, 2);
-                feed(&mut h, u64::from(cpu.0));
-                feed(&mut h, dur.0);
-            }
-            TraceOp::Barrier => feed(&mut h, 3),
-            TraceOp::ArmFirstTouch => feed(&mut h, 4),
-        }
-    }
-    h
-}
-
-/// Replays one sweep cell: the captured stream `id` against `config`,
-/// serially ([`TraceStore::replay_serial`]). This is the per-cell entry
-/// point of the trace-once/replay-many driver (`rnuma_bench::sweep_grid`
-/// calls it, through [`run_replayed_journaled`], for every non-capture
-/// cell).
+/// Replays one trace-once cell: the captured stream `id` against
+/// `config`, serially ([`TraceStore::replay_serial`]). This is the
+/// per-cell entry point of the trace-once/replay-many driver
+/// (`rnuma_bench::sweep_grid` calls it for every non-capture cell).
 ///
 /// # Panics
 ///
@@ -741,68 +637,9 @@ pub fn run_replayed(store: &TraceStore, id: TraceId, config: MachineConfig) -> R
     store.replay_serial(id, config)
 }
 
-/// Runs one workload against a whole configuration axis the
-/// trace-once/replay-many way: the workload executes **once**, on
-/// `configs[0]` (capturing its stream), and every other configuration
-/// replays the captured stream — fanned over the host's cores
-/// (`RNUMA_JOBS` overrides). Returns one report per configuration, in
-/// order.
-///
-/// All cells therefore simulate the *same* reference stream — the
-/// fixed-trace methodology classic ccNUMA tooling uses for sweeps —
-/// and each cell is bit-identical to a serial batched
-/// [`Machine::apply_batch`] of that stream on its configuration (see
-/// `docs/SWEEP.md`).
-///
-/// # Example
-///
-/// ```
-/// use rnuma::config::{MachineConfig, Protocol};
-/// use rnuma::experiment::run_sweep;
-/// use rnuma::program::{Runner, Workload};
-///
-/// struct Touch;
-/// impl Workload for Touch {
-///     fn name(&self) -> &'static str { "touch" }
-///     fn run(&mut self, r: &mut Runner<'_>) {
-///         let data = r.alloc(4096);
-///         let items = r.block_partition(64);
-///         r.parallel(&items, |ctx, _cpu, i| ctx.update(data.word(i)));
-///     }
-/// }
-///
-/// let configs = [
-///     MachineConfig::paper_base(Protocol::ideal()),
-///     MachineConfig::paper_base(Protocol::paper_rnuma()),
-/// ];
-/// // The workload executes once; the second cell replays its stream.
-/// let reports = run_sweep(&configs, &mut Touch);
-/// assert_eq!(reports.len(), 2);
-/// assert_eq!(
-///     reports[0].metrics.references(),
-///     reports[1].metrics.references(),
-/// );
-/// ```
-///
-/// # Panics
-///
-/// Panics if `configs` is empty, a configuration fails validation, or
-/// the configurations disagree on cluster shape.
-pub fn run_sweep<W: Workload + ?Sized>(
-    configs: &[MachineConfig],
-    workload: &mut W,
-) -> Vec<RunReport> {
-    run_sweep_journaled(
-        configs,
-        workload,
-        Journal::from_env().as_ref(),
-        &SweepAbort::from_env(),
-    )
-}
-
-/// The sweep drivers' crash-injection point: fires [`FaultKind::SweepAbort`]
-/// decisions *after* completed cells, panicking the driver mid-sweep so the
-/// checkpoint/resume lane can prove a journal-resumed sweep is bit-identical
+/// The grid driver's crash-injection point: fires [`FaultKind::SweepAbort`]
+/// decisions *after* completed cells, panicking the driver mid-grid so the
+/// checkpoint/resume lane can prove a journal-resumed grid is bit-identical
 /// to a clean one.
 ///
 /// Decisions are taken in cell *completion* order, which under a parallel
@@ -843,74 +680,6 @@ impl SweepAbort {
             }
         }
     }
-}
-
-/// [`run_sweep`] with explicit checkpoint/resume plumbing: completed
-/// replay cells are appended to `journal` (keyed by workload, stream
-/// content hash and configuration), and cells already present in the
-/// journal are restored without re-simulation — so a sweep killed
-/// mid-run resumes where it died and finishes bit-identical to a clean
-/// run. `abort` is the crash-injection point exercising exactly that.
-///
-/// The capture cell is *not* journaled: re-running the workload is what
-/// regenerates the reference stream (deterministically), and the
-/// journal's keys depend on that stream's content hash.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty, a configuration fails validation, the
-/// configurations disagree on cluster shape — or when `abort` fires.
-pub fn run_sweep_journaled<W: Workload + ?Sized>(
-    configs: &[MachineConfig],
-    workload: &mut W,
-    journal: Option<&Journal>,
-    abort: &SweepAbort,
-) -> Vec<RunReport> {
-    assert!(!configs.is_empty(), "need at least one configuration");
-    let mut store = TraceStore::new();
-    let (id, first) = store.capture(configs[0], workload);
-    let mut reports = vec![first];
-    reports.extend(parallel_map(&configs[1..], |&config| {
-        run_replayed_journaled(&store, id, config, journal, abort)
-    }));
-    reports
-}
-
-/// One checkpointed sweep cell — the step both sweep drivers
-/// ([`run_sweep_journaled`] and `rnuma_bench::sweep_grid`) run for
-/// every replay cell. The cell is keyed by (workload, stream content
-/// hash, configuration) ([`cell_key`]). A cell already in `journal` is
-/// restored without re-simulation; otherwise it is replayed
-/// ([`run_replayed`]), appended to `journal`, and followed by one
-/// `abort` decision.
-///
-/// # Panics
-///
-/// As [`run_replayed`] — or when `abort` fires.
-#[must_use]
-pub fn run_replayed_journaled(
-    store: &TraceStore,
-    id: TraceId,
-    config: MachineConfig,
-    journal: Option<&Journal>,
-    abort: &SweepAbort,
-) -> RunReport {
-    let workload = store.workload(id);
-    let keyed = journal.map(|j| (j, cell_key(workload, store.content_hash(id), &config)));
-    if let Some(metrics) = keyed.and_then(|(j, key)| j.lookup(key)) {
-        return RunReport {
-            workload,
-            protocol: config.protocol.label(),
-            config,
-            metrics: metrics.clone(),
-        };
-    }
-    let report = run_replayed(store, id, config);
-    if let Some((j, key)) = keyed {
-        j.record(key, workload, report.protocol, &report.metrics);
-    }
-    abort.after_cell();
-    report
 }
 
 #[cfg(test)]
@@ -971,7 +740,7 @@ mod tests {
             MachineConfig::paper_base(Protocol::paper_scoma()),
             MachineConfig::paper_base(Protocol::paper_rnuma()),
         ];
-        let par = run_parallel(&configs, |&config| (config, Stream { words: 2048 }));
+        let par = parallel_map(&configs, |&config| run(config, &mut Stream { words: 2048 }));
         let ser: Vec<RunReport> = configs
             .iter()
             .map(|&config| run(config, &mut Stream { words: 2048 }))
@@ -983,38 +752,6 @@ mod tests {
             assert_eq!(p.metrics.remote_fetches, s.metrics.remote_fetches);
             assert_eq!(p.metrics.refetches, s.metrics.refetches);
         }
-    }
-
-    #[test]
-    fn run_parallel_preserves_job_order() {
-        let jobs: Vec<u64> = vec![4096, 1024, 2048];
-        let reports = run_parallel(&jobs, |&words| {
-            (
-                MachineConfig::paper_base(Protocol::paper_ccnuma()),
-                Stream { words },
-            )
-        });
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0].metrics.references(), 2 * 4096);
-        assert_eq!(reports[1].metrics.references(), 2 * 1024);
-        assert_eq!(reports[2].metrics.references(), 2 * 2048);
-    }
-
-    #[test]
-    fn run_parallel_handles_empty_and_single() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(run_parallel(&empty, |&w| (
-            MachineConfig::paper_base(Protocol::paper_ccnuma()),
-            Stream { words: w }
-        ))
-        .is_empty());
-        let one = run_parallel(&[64u64], |&w| {
-            (
-                MachineConfig::paper_base(Protocol::paper_ccnuma()),
-                Stream { words: w },
-            )
-        });
-        assert_eq!(one.len(), 1);
     }
 
     #[test]
@@ -1089,29 +826,21 @@ mod tests {
             MachineConfig::paper_base(Protocol::paper_scoma()),
             MachineConfig::paper_base(Protocol::paper_rnuma()),
         ];
-        let reports = run_sweep(&configs, &mut Stream { words: 2048 });
+        let mut store = TraceStore::new();
+        let (id, capture) = store.capture(configs[0], &mut Stream { words: 2048 });
+        let reports = parallel_map(&configs, |&config| run_replayed(&store, id, config));
         assert_eq!(reports.len(), 4);
         // The capture cell is the execution-driven run itself.
         let direct = run(configs[0], &mut Stream { words: 2048 });
+        assert!(capture.metrics.replay_eq(&direct.metrics));
         assert!(reports[0].metrics.replay_eq(&direct.metrics));
         // Every cell simulates the same reference stream.
         for r in &reports {
-            assert_eq!(r.metrics.references(), reports[0].metrics.references());
+            assert_eq!(r.metrics.references(), direct.metrics.references());
             assert!(r.cycles() > 0);
         }
         assert_eq!(reports[1].protocol, "CC-NUMA");
         assert_eq!(reports[3].protocol, "R-NUMA");
-        // Each replay cell is bit-identical to a serial replay of the
-        // captured stream on its configuration.
-        let mut store = TraceStore::new();
-        let (id, _) = store.capture(configs[0], &mut Stream { words: 2048 });
-        for (i, r) in reports.iter().enumerate().skip(1) {
-            let serial = store.replay_serial(id, configs[i]);
-            assert!(
-                serial.metrics.replay_eq(&r.metrics),
-                "sweep cell {i} diverged from the serial replay path"
-            );
-        }
     }
 
     #[test]

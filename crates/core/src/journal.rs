@@ -1,15 +1,16 @@
-//! Append-only checkpoint/resume journal for parameter sweeps.
+//! Append-only checkpoint/resume journal for figure grids.
 //!
-//! A paper-scale sweep is hours of deterministic work; a killed process
+//! A paper-scale grid is minutes of deterministic work; a killed process
 //! should not restart it from zero. The journal records each completed
-//! sweep cell — one line of JSON per `(application, trace, config)`
-//! cell, keyed by a stable content hash — in the canonical results
-//! directory. A re-run of the same sweep consults the journal first and
-//! *resumes*: journaled cells are restored verbatim (metrics are stored
-//! exactly, every counter and per-page profile), and only the missing
-//! cells execute. Because every cell is a pure function of its key, a
-//! resumed sweep's final report is identical to an uninterrupted run's
-//! — the property `tests/fault_recovery.rs` asserts.
+//! grid cell — one line of JSON per `(application, scale, config)`
+//! cell, keyed by a stable hash of the three ([`cell_key`]) — in the
+//! canonical results directory. A re-run of the same grid consults the
+//! journal first and *resumes*: journaled cells are restored verbatim
+//! (metrics are stored exactly, every counter and per-page profile),
+//! and only the missing cells execute. Because every cell is a pure
+//! function of its key, a resumed grid's final report is identical to
+//! an uninterrupted run's — the property `tests/fault_recovery.rs`
+//! asserts.
 //!
 //! The file format is JSONL: one self-contained JSON object per line,
 //! appended and flushed as each cell completes, so a kill at any moment
@@ -17,16 +18,11 @@
 //! (a torn final write) instead of failing.
 //!
 //! Journals are opt-in via `RNUMA_JOURNAL`, resolved in one place
-//! ([`Journal::from_env`]) for both sweep drivers
-//! ([`crate::experiment::run_sweep`] and `rnuma_bench::sweep_grid`):
-//! the value `1` means `sweep_journal.jsonl` in the canonical results
-//! directory ([`crate::experiment::results_path`]); any other value is
-//! the journal file path.
-//!
-//! Capture cells (the baseline every replay derives its stream from)
-//! are *not* journaled: a resume must re-capture to regenerate the
-//! trace anyway, and captures are deterministic, so re-running them is
-//! both necessary and exact.
+//! ([`Journal::from_env`]) for the figure grid driver
+//! (`rnuma_bench::run_grid`), which journals every cell, the baseline
+//! included: the value `1` means `sweep_journal.jsonl` in the canonical
+//! results directory ([`crate::experiment::results_path`]); any other
+//! value is the journal file path.
 
 use crate::config::MachineConfig;
 use crate::metrics::{Metrics, PageProfile};
@@ -39,21 +35,23 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// The stable identity of one sweep cell: the workload's name, the
-/// content hash of the reference stream it replays, and the
-/// configuration it replays against. Two cells collide only if all
-/// three match — in which case their results are identical by the
-/// determinism contract, which is exactly when reuse is sound.
+/// The stable identity of one grid cell: the workload's name, the
+/// input scale it runs at (the label of `rnuma_workloads::Scale`, e.g.
+/// `"Tiny"`), and the configuration it runs on. Two cells collide only
+/// if all three match — in which case their results are identical by
+/// the determinism contract, which is exactly when reuse is sound.
 #[must_use]
-pub fn cell_key(workload: &str, trace_hash: u64, config: &MachineConfig) -> u64 {
+pub fn cell_key(workload: &str, scale: &str, config: &MachineConfig) -> u64 {
     const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
     let feed = |h: &mut u64, v: u64| *h = (*h ^ v).wrapping_mul(MIX).rotate_left(23);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in workload.bytes() {
-        feed(&mut h, u64::from(b));
+    // Each string ends in a terminator: "ab"+"c" never keys like "a"+"bc".
+    for part in [workload, scale] {
+        for b in part.bytes() {
+            feed(&mut h, u64::from(b));
+        }
+        feed(&mut h, 0xff);
     }
-    feed(&mut h, 0xff); // terminator: "ab"+"c" never keys like "a"+"bc"
-    feed(&mut h, trace_hash);
     // The configuration's derived Debug form covers every field
     // (protocol, geometry, latencies, policies); hashing it is stable
     // for a given build of the workspace, which is the resume contract.
@@ -63,9 +61,9 @@ pub fn cell_key(workload: &str, trace_hash: u64, config: &MachineConfig) -> u64 
     h
 }
 
-/// An append-only JSONL journal of completed sweep cells.
+/// An append-only JSONL journal of completed grid cells.
 ///
-/// Concurrent appends (sweep cells complete on parallel driver workers)
+/// Concurrent appends (grid cells complete on parallel driver workers)
 /// are serialized internally; each append is written and flushed as one
 /// line, so the journal is crash-safe at line granularity.
 #[derive(Debug)]
@@ -111,7 +109,7 @@ impl Journal {
     /// ([`results_path`](crate::experiment::results_path)), and any
     /// other value is the journal file path. The journal's directory
     /// is created if missing. An unopenable journal warns on stderr
-    /// once per process and disables journaling — a sweep must run
+    /// once per process and disables journaling — a grid must run
     /// (slower, un-resumable) rather than abort.
     #[must_use]
     pub fn from_env() -> Option<Journal> {
@@ -146,7 +144,7 @@ impl Journal {
     }
 
     /// Number of entries loaded at open (later appends do not count:
-    /// a resumed cell is never looked up twice in one sweep).
+    /// a resumed cell is never looked up twice in one grid).
     #[must_use]
     pub fn entries(&self) -> usize {
         self.entries.len()
@@ -164,7 +162,7 @@ impl Journal {
     /// `key` alone.
     ///
     /// Failure to append warns on stderr and is otherwise ignored: a
-    /// sweep that cannot checkpoint must still complete.
+    /// grid that cannot checkpoint must still complete.
     pub fn record(&self, key: u64, workload: &str, protocol: &str, metrics: &Metrics) {
         let mut line = String::with_capacity(256);
         let _ = write!(
@@ -745,11 +743,11 @@ mod tests {
     fn cell_keys_separate_all_components() {
         let a = MachineConfig::paper_base(crate::config::Protocol::paper_rnuma());
         let b = MachineConfig::paper_base(crate::config::Protocol::paper_scoma());
-        let k = cell_key("em3d", 7, &a);
-        assert_eq!(k, cell_key("em3d", 7, &a), "stable");
-        assert_ne!(k, cell_key("em3d", 8, &a), "trace hash matters");
-        assert_ne!(k, cell_key("em3e", 7, &a), "workload matters");
-        assert_ne!(k, cell_key("em3d", 7, &b), "config matters");
-        assert_ne!(cell_key("ab", 0, &a), cell_key("a", 0, &a));
+        let k = cell_key("em3d", "Tiny", &a);
+        assert_eq!(k, cell_key("em3d", "Tiny", &a), "stable");
+        assert_ne!(k, cell_key("em3d", "Paper", &a), "scale matters");
+        assert_ne!(k, cell_key("em3e", "Tiny", &a), "workload matters");
+        assert_ne!(k, cell_key("em3d", "Tiny", &b), "config matters");
+        assert_ne!(cell_key("ab", "c", &a), cell_key("a", "bc", &a));
     }
 }

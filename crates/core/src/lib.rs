@@ -28,10 +28,12 @@
 //!   point-to-point interconnect with NI contention.
 //! * [`program`] — the shared-memory programming framework for workload
 //!   kernels (allocation, parallel phases, barriers, think time).
-//! * [`experiment`] — one-call runs, the parallel batch driver
-//!   (`RNUMA_JOBS` workers across machines), and the
-//!   trace-once/replay-many sweep driver (`TraceStore`, `run_sweep`;
-//!   see `docs/SWEEP.md`).
+//! * [`experiment`] — one-call runs, the parallel batch primitive
+//!   (`parallel_map`, `RNUMA_JOBS` workers across machines), and trace
+//!   capture and replay (`run_traced`, `TraceStore`; see
+//!   `docs/SWEEP.md`).
+//! * [`journal`] — the checkpoint/resume journal (`RNUMA_JOURNAL`) the
+//!   figure grid driver records every cell into.
 //! * [`shard`] — deterministic epoch-sharded execution of one machine:
 //!   node shards run a trace's contained windows on a persistent worker
 //!   pool (`ShardPool`) and replay cross-shard effects in canonical
@@ -84,8 +86,7 @@ mod trace;
 
 pub use config::{MachineConfig, Protocol};
 pub use experiment::{
-    parallel_map, run, run_parallel, run_replayed, run_replayed_journaled, run_sweep,
-    run_sweep_journaled, run_traced, RunReport, SweepAbort, TraceId, TraceStore,
+    parallel_map, run, run_replayed, run_traced, RunReport, SweepAbort, TraceId, TraceStore,
 };
 pub use journal::{cell_key, Journal};
 pub use machine::Machine;

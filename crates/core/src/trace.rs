@@ -23,7 +23,8 @@
 //!
 //! Profile bytes stay resident in one in-memory arena: spilling them
 //! to disk measured about 8% less peak memory for 30–50% more wall
-//! time on the figure sweeps (see `docs/SWEEP.md`).
+//! time on the figure binaries' former trace-once sweeps (see
+//! `docs/SWEEP.md`).
 
 use crate::shard::{scan_runs, CpuRun, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
@@ -340,15 +341,13 @@ impl CpuRefs {
     }
 }
 
-/// One stored segment: its byte range in the run stream, its op count,
-/// and its content hash (computed from the raw ops at encode time;
-/// folded into `TraceStore::content_hash` for journal keying).
+/// One stored segment: its byte range in the run stream and its op
+/// count.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SegMeta {
     pub(crate) run_start: u64,
     pub(crate) run_len: u32,
     pub(crate) ops: u32,
-    pub(crate) hash: u64,
 }
 
 /// Encodes one segment of ops into the arena + run stream, returning
@@ -358,7 +357,6 @@ pub(crate) struct SegMeta {
 /// record.
 pub(crate) fn encode_segment(
     chunk: &[TraceOp],
-    hash: u64,
     arena: &mut ProfileArena,
     runs: &mut Vec<u8>,
     interning: bool,
@@ -400,7 +398,6 @@ pub(crate) fn encode_segment(
         run_start,
         run_len: u32::try_from(runs.len() as u64 - run_start).expect("segment run stream overflow"),
         ops: chunk.len() as u32,
-        hash,
     }
 }
 
@@ -589,7 +586,7 @@ mod tests {
         let (mut blob, mut refs) = (Vec::new(), CpuRefs::default());
         let metas: Vec<SegMeta> = [&seg_a, &seg_b]
             .iter()
-            .map(|seg| encode_segment(seg, 0, &mut arena, &mut runs, true, &mut blob, &mut refs))
+            .map(|seg| encode_segment(seg, &mut arena, &mut runs, true, &mut blob, &mut refs))
             .collect();
 
         let (mut ops, mut cpu_runs) = (Vec::new(), Vec::new());

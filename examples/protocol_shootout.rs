@@ -2,11 +2,10 @@
 //! machines — ideal, CC-NUMA, S-COMA, R-NUMA — and prints the
 //! Figure-6-style normalized comparison plus traffic counters.
 //!
-//! Uses the trace-once/replay-many sweep driver
-//! (`rnuma::experiment::run_sweep`): the application executes once, on
-//! the ideal baseline, and the captured reference stream replays
-//! against the three finite machines (see `docs/SWEEP.md`). With
-//! `RNUMA_JOURNAL=1` the replay cells checkpoint into
+//! Uses the figure binaries' grid driver (`rnuma_bench::run_grid`):
+//! the application runs once per machine, in parallel across the
+//! host's cores, each run execution-driven on its own machine. With
+//! `RNUMA_JOURNAL=1` every cell checkpoints into
 //! `results/sweep_journal.jsonl`, exactly as the figure binaries' do,
 //! and a re-run restores them instead of re-simulating.
 //!
@@ -14,21 +13,21 @@
 //! `cargo run --release -p rnuma-bench --example protocol_shootout -- [app] [tiny|small|paper]`
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::run_sweep;
-use rnuma_workloads::{by_name, Scale, APP_NAMES};
+use rnuma_bench::run_grid;
+use rnuma_workloads::{Scale, APP_NAMES};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let app = args.get(1).map_or("moldyn", String::as_str);
+    let arg = args.get(1).map_or("moldyn", String::as_str);
     let scale = match args.get(2).map(String::as_str) {
         Some("paper") => Scale::Paper,
         Some("small") => Scale::Small,
         _ => Scale::Tiny,
     };
-    assert!(
-        APP_NAMES.contains(&app),
-        "unknown app {app}; choose one of {APP_NAMES:?}"
-    );
+    let app = *APP_NAMES
+        .iter()
+        .find(|&&name| name == arg)
+        .unwrap_or_else(|| panic!("unknown app {arg}; choose one of {APP_NAMES:?}"));
 
     println!("{app} at {scale:?} scale on the paper's base machines\n");
     println!(
@@ -42,11 +41,7 @@ fn main() {
         Protocol::paper_rnuma(),
     ]
     .map(MachineConfig::paper_base);
-    let mut w = by_name(app, scale).expect("validated above");
-    // One execution, three replays: every machine sees the same stream.
-    // Each replay cell runs through `run_replayed_journaled`, the step
-    // `sweep_grid` uses too.
-    let reports = run_sweep(&configs, &mut w);
+    let reports = run_grid(&[app], &configs, scale).remove(0);
     let base = reports[0].cycles() as f64;
     for report in &reports {
         println!(

@@ -48,10 +48,9 @@ fn different_seeds_change_stochastic_workloads() {
 
 #[test]
 fn parallel_driver_reports_are_bit_identical_to_serial() {
-    // The figure binaries fan (config, workload) pairs out over
-    // threads; every report must match a serial loop of `run` exactly,
-    // on real application kernels.
-    use rnuma::experiment::run_parallel;
+    // The figure binaries' grid driver fans (app, config) cells out
+    // over threads; every report must match a serial loop of `run`
+    // exactly, on real application kernels.
     let configs = [
         MachineConfig::paper_base(Protocol::ideal()),
         MachineConfig::paper_base(Protocol::paper_ccnuma()),
@@ -59,9 +58,7 @@ fn parallel_driver_reports_are_bit_identical_to_serial() {
         MachineConfig::paper_base(Protocol::paper_rnuma()),
     ];
     for app in ["em3d", "lu", "moldyn"] {
-        let par = run_parallel(&configs, |&config| {
-            (config, by_name(app, Scale::Tiny).expect("known app"))
-        });
+        let par = rnuma_bench::run_grid(&[app], &configs, Scale::Tiny).remove(0);
         let ser: Vec<_> = configs
             .iter()
             .map(|&config| run(config, &mut by_name(app, Scale::Tiny).expect("known app")))

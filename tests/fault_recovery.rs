@@ -5,12 +5,12 @@
 //! (the trace-driven contract of `docs/DETERMINISM.md`, now extended to
 //! hold across faults; see `docs/ROBUSTNESS.md`).
 //!
-//! Also proves the checkpoint/resume contract: a sweep killed mid-run
-//! by an injected abort, then resumed from its journal, finishes
-//! bit-identical to a clean uninterrupted sweep.
+//! Also proves the checkpoint/resume contract: a figure grid killed
+//! mid-run by an injected abort, then resumed from its journal,
+//! finishes bit-identical to a clean uninterrupted grid.
 
 use rnuma::config::MachineConfig;
-use rnuma::experiment::{run_sweep_journaled, run_traced, SweepAbort, TraceStore};
+use rnuma::experiment::{parallel_map, run_traced, SweepAbort, TraceStore};
 use rnuma::journal::Journal;
 use rnuma::shard::{ShardPool, ShardedMachine, TraceOp};
 use rnuma_sim::fault::{FaultKind, FaultPlan};
@@ -197,39 +197,34 @@ fn capture_pressure_degrades_interning_not_results() {
     }
 }
 
-/// The checkpoint/resume drill: a sweep killed mid-run by an injected
+/// The checkpoint/resume drill: a grid killed mid-run by an injected
 /// abort, resumed from its journal, produces a grid bit-identical to a
-/// clean uninterrupted sweep — without re-simulating journaled cells.
-/// The resumed grid is then differentially pinned against a sharded
-/// re-execution: a journal restore is bit-identical to the executor.
+/// clean uninterrupted grid — without re-simulating journaled cells.
+/// Every cell runs through the figure grid driver's checkpointed step
+/// (`rnuma_bench::run_cell`). The resumed grid is then differentially
+/// pinned against a sharded re-execution: a journal restore is
+/// bit-identical to the executor.
 #[test]
 fn journal_resume_is_bit_identical_to_clean_sweep() {
     let dir = std::env::temp_dir().join(format!("rnuma-fault-recovery-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep_journal.jsonl");
     let configs = support::figure_configs();
+    let grid = |journal: Option<&Journal>, abort: &SweepAbort| {
+        parallel_map(&configs, |&config| {
+            rnuma_bench::run_cell("em3d", config, Scale::Tiny, journal, abort)
+        })
+    };
 
-    let clean = run_sweep_journaled(
-        &configs,
-        &mut by_name("em3d", Scale::Tiny).unwrap(),
-        None,
-        &SweepAbort::with_plan(None),
-    );
+    let clean = grid(None, &SweepAbort::with_plan(None));
 
-    // Crash the journaled sweep right after its first completed cell.
+    // Crash the journaled grid right after its first completed cell.
     let journal = Journal::open(&path).unwrap();
     let abort = SweepAbort::with_plan(Some(FaultPlan::new(0).at(FaultKind::SweepAbort, 0)));
-    let crashed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_sweep_journaled(
-            &configs,
-            &mut by_name("em3d", Scale::Tiny).unwrap(),
-            Some(&journal),
-            &abort,
-        )
-    }));
+    let crashed = std::panic::catch_unwind(AssertUnwindSafe(|| grid(Some(&journal), &abort)));
     assert!(crashed.is_err(), "the injected abort did not fire");
 
-    // The killed sweep checkpointed at least the cell it completed.
+    // The killed grid checkpointed at least the cell it completed.
     let journal = Journal::open(&path).unwrap();
     let checkpointed = journal.entries();
     assert!(
@@ -238,29 +233,23 @@ fn journal_resume_is_bit_identical_to_clean_sweep() {
     );
 
     // Resume: journaled cells restore, the rest re-simulate.
-    let resumed = run_sweep_journaled(
-        &configs,
-        &mut by_name("em3d", Scale::Tiny).unwrap(),
-        Some(&journal),
-        &SweepAbort::with_plan(None),
-    );
+    let resumed = grid(Some(&journal), &SweepAbort::with_plan(None));
     assert_eq!(clean.len(), resumed.len());
     for (c, r) in clean.iter().zip(&resumed) {
         assert_eq!(c.protocol, r.protocol);
         assert!(
             c.metrics.replay_eq(&r.metrics),
-            "resumed sweep diverged from clean on {}",
+            "resumed grid diverged from clean on {}",
             r.protocol
         );
     }
 
     // Cells restored from the journal are bit-identical to sharded
-    // re-execution of the same stream.
-    let trace = trace_on(configs[0]);
+    // re-execution of the stream each cell's own machine issues.
     for r in &resumed {
         let mut sharded = forced_sharded(r.config, Arc::new(ShardPool::new(2)));
         sharded.set_fault_plan(None);
-        sharded.run_trace(&trace);
+        sharded.run_trace(&trace_on(r.config));
         assert!(
             r.metrics.replay_eq(&sharded.metrics()),
             "sharded re-execution diverged from the resumed journal on {}",

@@ -5,6 +5,11 @@
 //! interned `TraceStore` arena, and through the pool-backed sharded
 //! executor at any shard count.
 //!
+//! It also checks the trace-once driver against the figure binaries'
+//! execution-driven `run_grid` where the two must agree: the capture
+//! column, and whole rows of the kernels whose interleaving does not
+//! depend on the machine's timing.
+//!
 //! See `docs/SWEEP.md` for the model these tests enforce and
 //! `docs/DETERMINISM.md` for the underlying epoch/effect-ordering
 //! argument. The sweep's results under `RNUMA_JOBS` are covered in
@@ -13,7 +18,7 @@
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::TraceStore;
 use rnuma::shard::ShardedMachine;
-use rnuma_bench::sweep_grid;
+use rnuma_bench::{run_grid, sweep_grid};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::sync::Arc;
 
@@ -21,13 +26,42 @@ use std::sync::Arc;
 mod support;
 use support::{figure_configs, forced_pool};
 
-/// The full figure grid through the real driver (`sweep_grid`): every
-/// cell must be bit-identical to an independently captured and
-/// serially replayed stream — the serial path of the sweep model.
+/// Apps whose tiny figure-grid rows are bit-identical under both
+/// drivers: their CPUs' interleaving does not depend on the machine's
+/// timing. The racy kernels (barnes, em3d, moldyn, radix, raytrace)
+/// diverge by up to ~16% per cell at tiny and ~40% at small (measured
+/// table in `RESULTS.md`), so they get no bound beyond the capture
+/// column.
+const TIMING_INDEPENDENT: [&str; 5] = ["cholesky", "fft", "fmm", "lu", "ocean"];
+
+/// The full figure grid through the trace-once driver (`sweep_grid`):
+/// every cell must be bit-identical to an independently captured and
+/// serially replayed stream — the serial path of the sweep model. The
+/// same grid through the execution-driven `run_grid` must agree with
+/// it on the capture column of every app, and on whole rows of the
+/// [`TIMING_INDEPENDENT`] apps.
 #[test]
 fn sweep_grid_cells_are_bit_identical_to_serial_replay() {
     let configs = figure_configs();
     let rows = sweep_grid(&APP_NAMES, &configs, Scale::Tiny);
+    let exec = run_grid(&APP_NAMES, &configs, Scale::Tiny);
+    for ((&app, row), exec_row) in APP_NAMES.iter().zip(&rows).zip(&exec) {
+        let agree = if TIMING_INDEPENDENT.contains(&app) {
+            configs.len()
+        } else {
+            1
+        };
+        for c in 0..agree {
+            assert!(
+                row[c].metrics.replay_eq(&exec_row[c].metrics),
+                "{app} on {}: trace-once cell diverged from run_grid\n\
+                 sweep: {}\nexec:  {}",
+                configs[c].protocol,
+                row[c].metrics,
+                exec_row[c].metrics
+            );
+        }
+    }
     assert_eq!(rows.len(), APP_NAMES.len());
     for (&app, row) in APP_NAMES.iter().zip(&rows) {
         assert_eq!(row.len(), configs.len());

@@ -1,16 +1,18 @@
 //! Environment plumbing: `RNUMA_FAULTS`, `RNUMA_JOURNAL` and
-//! `RNUMA_JOBS` parsing, and the sweep driver's results under
-//! `RNUMA_JOBS` — plus the CLI contracts of the figure binaries
-//! (warn-once misconfiguration on stderr for `RNUMA_JOBS` and
-//! `RNUMA_FAULTS`; one-line diagnostic and nonzero exit on emitter I/O
-//! failure; fault plans never change or abort a figure run).
+//! `RNUMA_JOBS` parsing, both grid drivers' results under `RNUMA_JOBS`,
+//! and journal checkpoint/restore through the figure grid driver —
+//! plus the CLI contracts of the figure binaries (warn-once
+//! misconfiguration on stderr for `RNUMA_JOBS` and `RNUMA_FAULTS`;
+//! one-line diagnostic and nonzero exit on emitter I/O failure; a run
+//! killed by an injected abort resumes from its journal to the clean
+//! CSV).
 //!
 //! The in-process tests mutate the environment, so they live in their
 //! own binary and one `#[test]` owns all the scenarios. The subprocess
 //! tests use `env_clear()` and are hermetic.
 
-use rnuma::experiment::{parallel_workers, run_traced};
-use rnuma::{FaultKind, FaultPlan, Journal, TraceStore};
+use rnuma::experiment::{parallel_workers, run, run_traced};
+use rnuma::{FaultKind, FaultPlan, Journal};
 use rnuma_workloads::{by_name, Scale};
 use std::process::Command;
 
@@ -89,8 +91,8 @@ fn robustness_env_plumbing() {
         assert_eq!(parallel_workers(8), host.clamp(1, 8));
     });
 
-    // RNUMA_JOURNAL has one resolver (`Journal::from_env`), shared by
-    // `run_sweep` and `sweep_grid`: unset means off; a path is the
+    // RNUMA_JOURNAL has one resolver (`Journal::from_env`), used by the
+    // figure grid driver `run_grid`: unset means off; a path is the
     // journal; the literal "1" is results/sweep_journal.jsonl; an
     // unopenable journal (here: a directory) disables checkpointing,
     // never aborts.
@@ -117,21 +119,22 @@ fn robustness_env_plumbing() {
         });
     });
 
-    // End-to-end through the bench driver: a journaled sweep_grid
-    // checkpoints its replay cells, and a second journaled run restores
-    // them bit-identically.
     let configs = [
         rnuma::MachineConfig::paper_base(rnuma::Protocol::ideal()),
         rnuma::MachineConfig::paper_base(rnuma::Protocol::paper_rnuma()),
     ];
-    let clean = rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny);
+    let sweep = rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny);
+    let serial: Vec<_> = configs
+        .iter()
+        .map(|&config| run(config, &mut by_name("em3d", Scale::Tiny).unwrap()))
+        .collect();
 
     // The sweep's cells run the batched replay loop; pin them to a
     // per-op live-dispatch reference (the thin stand-in for the
     // retired per-op replay entry points), so every RNUMA_JOBS setting
     // below transitively proves batched ≡ per-op dispatch.
     let (_, trace) = run_traced(configs[0], &mut by_name("em3d", Scale::Tiny).unwrap());
-    for (r, &config) in clean[0].iter().zip(&configs) {
+    for (r, &config) in sweep[0].iter().zip(&configs) {
         let mut per_op = rnuma::Machine::new(config).unwrap();
         rnuma_bench::sweep::live_dispatch(&mut per_op, &trace);
         assert!(
@@ -140,38 +143,64 @@ fn robustness_env_plumbing() {
             config.protocol
         );
     }
-    // The sweep driver reproduces itself bit-for-bit serial and
-    // parallel.
+    // Both grid drivers reproduce themselves bit-for-bit serial and
+    // parallel: the trace-once sweep its own cells, the figure grid a
+    // serial loop of `run`.
     for jobs in ["1", "2"] {
-        let rows = with_var("RNUMA_JOBS", Some(jobs), || {
-            rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny)
+        let (swept, grid) = with_var("RNUMA_JOBS", Some(jobs), || {
+            (
+                rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny),
+                rnuma_bench::run_grid(&["em3d"], &configs, Scale::Tiny),
+            )
         });
-        for (r, b) in rows[0].iter().zip(&clean[0]) {
+        for (r, b) in swept[0].iter().zip(&sweep[0]) {
             assert!(
                 r.metrics.replay_eq(&b.metrics),
                 "sweep diverged under RNUMA_JOBS={jobs}"
             );
         }
+        for (r, s) in grid[0].iter().zip(&serial) {
+            assert!(
+                r.metrics.replay_eq(&s.metrics),
+                "run_grid diverged from serial run under RNUMA_JOBS={jobs}"
+            );
+        }
     }
 
+    // End-to-end through the figure grid driver: a journaled run_grid
+    // checkpoints every cell, the baseline included, and a second
+    // journaled run restores them bit-identically.
     let journaled = with_var("RNUMA_JOURNAL", Some(explicit.to_str().unwrap()), || {
-        let first = rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny);
-        assert!(
-            Journal::open(&explicit).unwrap().entries() >= 1,
-            "journaled sweep recorded no cells"
+        let first = rnuma_bench::run_grid(&["em3d"], &configs, Scale::Tiny);
+        assert_eq!(
+            Journal::open(&explicit).unwrap().entries(),
+            configs.len(),
+            "a journaled grid records every cell"
         );
-        let second = rnuma_bench::sweep_grid(&["em3d"], &configs, Scale::Tiny);
+        let second = rnuma_bench::run_grid(&["em3d"], &configs, Scale::Tiny);
         (first, second)
     });
     for rows in [&journaled.0, &journaled.1] {
-        for (r, b) in rows[0].iter().zip(&clean[0]) {
+        for (r, s) in rows[0].iter().zip(&serial) {
             assert!(
-                r.metrics.replay_eq(&b.metrics),
-                "journaled sweep diverged from clean on {}",
+                r.metrics.replay_eq(&s.metrics),
+                "journaled grid diverged from clean on {}",
                 r.protocol
             );
         }
     }
+    // The journal key tells scales apart: a journal filled at tiny
+    // restores no cell of a small run of the same app and configs, so
+    // every small cell simulates and is recorded.
+    with_var("RNUMA_JOURNAL", Some(explicit.to_str().unwrap()), || {
+        let small = rnuma_bench::run_grid(&["em3d"], &configs, Scale::Small);
+        assert_eq!(
+            Journal::open(&explicit).unwrap().entries(),
+            2 * configs.len(),
+            "a tiny journal entry was restored into a small grid"
+        );
+        assert_ne!(small[0][0].cycles(), serial[0].cycles());
+    });
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -228,8 +257,7 @@ fn jobs_misconfiguration_warns_once_and_completes() {
 }
 
 /// A malformed `RNUMA_FAULTS` spec warns exactly once per process on
-/// stderr — even though every capture and every sharded replay
-/// consults the plan — and the figure still regenerates successfully.
+/// stderr, and the figure still regenerates successfully.
 #[test]
 fn fault_misconfiguration_warns_once_and_completes() {
     let dir = temp_dir("faults-warn-once");
@@ -250,47 +278,47 @@ fn fault_misconfiguration_warns_once_and_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A figure binary under an active fault plan completes and writes the
-/// same CSV, byte for byte, as a fault-free run. The plan is capture
-/// pressure — the fault a figure binary's trace store takes — which
-/// downgrades interning to verbatim storage without changing results.
-/// fig6_base replays three of its four columns from that store, so a
-/// store the fault corrupted would change the CSV.
+/// The CI resume lane, run as a tier-1 test: a journaled `fig6_base`
+/// killed by an injected abort (`RNUMA_FAULTS=abort@0`, the fault plan
+/// that reaches a figure binary's grid) exits non-zero after
+/// checkpointing at least one cell, and the journal-resumed run exits 0
+/// with a `fig6_base.csv` byte-identical to a clean run's.
 #[test]
 fn figure_binary_completes_under_fault_plan() {
-    const PLAN: &str = "pressure~0.5,seed=42";
-    // The plan really fires on the path the binary takes: capturing a
-    // figure workload on the grid's baseline into a trace store.
-    let mut store = TraceStore::new();
-    store.set_fault_plan(FaultPlan::parse(PLAN).ok());
-    let baseline = rnuma::MachineConfig::paper_base(rnuma::Protocol::ideal());
-    store.capture(baseline, &mut by_name("em3d", Scale::Tiny).unwrap());
-    assert!(
-        store.fault_log().count(FaultKind::CapturePressure) >= 1,
-        "plan {PLAN:?} never fired on a capture"
-    );
-
-    let fig6 = |tag: &str, faults: Option<&str>| {
-        let dir = temp_dir(tag);
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig6_base"));
-        cmd.args(["--scale", "tiny"])
+    let dir = temp_dir("resume");
+    let journal = dir.join("journal.jsonl");
+    let fig6 = |tag: &str, env: &[(&str, &str)]| {
+        let results = dir.join(tag);
+        let out = Command::new(env!("CARGO_BIN_EXE_fig6_base"))
+            .args(["--scale", "tiny"])
             .env_clear()
-            .env("RNUMA_RESULTS_DIR", &dir);
-        if let Some(plan) = faults {
-            cmd.env("RNUMA_FAULTS", plan);
-        }
-        let out = cmd.output().expect("spawn fig6_base");
-        assert!(
-            out.status.success(),
-            "fig6_base failed (RNUMA_FAULTS={faults:?}); stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let csv = std::fs::read(dir.join("fig6_base.csv")).expect("fig6_base.csv written");
-        let _ = std::fs::remove_dir_all(&dir);
-        csv
+            .env("RNUMA_RESULTS_DIR", &results)
+            .envs(env.iter().copied())
+            .output()
+            .expect("spawn fig6_base");
+        (out, results.join("fig6_base.csv"))
     };
+    let journal_env = ("RNUMA_JOURNAL", journal.to_str().unwrap());
+
+    let (out, clean_csv) = fig6("clean", &[]);
     assert!(
-        fig6("chaos-clean", None) == fig6("chaos", Some(PLAN)),
-        "fig6_base.csv changed under fault plan {PLAN:?}"
+        out.status.success(),
+        "clean fig6_base failed; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let (out, _) = fig6("crashed", &[journal_env, ("RNUMA_FAULTS", "abort@0")]);
+    assert!(!out.status.success(), "the injected abort did not fire");
+    let lines = std::fs::read_to_string(&journal).map_or(0, |text| text.lines().count());
+    assert!(lines >= 1, "the killed run journaled no cell");
+    let (out, resumed_csv) = fig6("resumed", &[journal_env]);
+    assert!(
+        out.status.success(),
+        "resumed fig6_base failed; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        std::fs::read(&clean_csv).unwrap() == std::fs::read(&resumed_csv).unwrap(),
+        "the resumed fig6_base.csv differs from the clean run's"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
